@@ -1,17 +1,14 @@
-//! Compute-path A/B: scatter throughput with the zero-copy adjacency
-//! decode and scatter-side combining versus the pre-optimization byte-copy
-//! path, on a cache-hot engine.
+//! Compute-path A/B: scatter throughput with and without scatter-side
+//! combining, on a cache-hot engine.
 //!
 //! The page cache is sized to hold the whole graph and a warm-up pass
 //! fills it, so the timed runs never touch the device: wall time is the
-//! scatter/gather compute path alone. "before" decodes every page through
-//! the byte-wise scratch copy (`EngineOptions::with_bytewise_decode`) with
-//! plain staging; "after" is the default aligned `&[u32]` reinterpret,
-//! plus record combining for PageRank (BFS frontiers are too sparse for
-//! combining to matter; it runs decode-only).
+//! scatter/gather compute path alone. PageRank runs with plain staging
+//! ("plain") and with record combining ("combined"); BFS frontiers are too
+//! sparse for combining to matter, so it reports one throughput row.
 //!
-//! Both arms must produce identical answers; the CSV records edges/second
-//! and the speedup ratio per query.
+//! Both PageRank arms must produce identical answers; the CSV records
+//! edges/second and the speedup ratio.
 
 use blaze_algorithms::{bfs, pagerank_delta, pagerank_delta_combined, ExecMode, PageRankConfig};
 use blaze_bench::datasets::{prepare, scale_from_env};
@@ -38,7 +35,7 @@ impl Sample {
     }
 }
 
-fn engine_for(csr: &Csr, bytewise: bool) -> BlazeEngine {
+fn engine_for(csr: &Csr) -> BlazeEngine {
     let storage = Arc::new(StripedStorage::in_memory(DEVICES).expect("storage"));
     let graph = Arc::new(DiskGraph::create(csr, storage).expect("graph"));
     // Cache with headroom over the whole on-disk graph: after the warm-up
@@ -46,14 +43,13 @@ fn engine_for(csr: &Csr, bytewise: bool) -> BlazeEngine {
     let cache_bytes = (graph.storage_bytes() as usize) * 2 + (1 << 20);
     let options = EngineOptions::default()
         .with_compute_workers(4, 0.5)
-        .with_cache_bytes(cache_bytes)
-        .with_bytewise_decode(bytewise);
+        .with_cache_bytes(cache_bytes);
     BlazeEngine::new(graph, options).expect("engine")
 }
 
 /// Cache-hot PageRank: warm-up pass, then `ITERS` timed iterations.
-fn run_pagerank(csr: &Csr, bytewise: bool, combined: bool) -> (Sample, Vec<f64>) {
-    let engine = engine_for(csr, bytewise);
+fn run_pagerank(csr: &Csr, combined: bool) -> (Sample, Vec<f64>) {
+    let engine = engine_for(csr);
     let config = PageRankConfig {
         max_iters: ITERS,
         // No early convergence: keep both arms on identical iteration
@@ -96,23 +92,20 @@ fn run_pagerank(csr: &Csr, bytewise: bool, combined: bool) -> (Sample, Vec<f64>)
 }
 
 /// Cache-hot BFS: warm-up traversal, then a timed one.
-fn run_bfs(csr: &Csr, bytewise: bool) -> (Sample, Vec<i64>) {
-    let engine = engine_for(csr, bytewise);
+fn run_bfs(csr: &Csr) -> Sample {
+    let engine = engine_for(csr);
     bfs(&engine, ROOT, ExecMode::Binned).expect("warm-up");
     let s0 = engine.stats();
     let t0 = std::time::Instant::now();
-    let parents = bfs(&engine, ROOT, ExecMode::Binned).expect("bfs");
+    bfs(&engine, ROOT, ExecMode::Binned).expect("bfs");
     let wall_s = t0.elapsed().as_secs_f64();
     let s1 = engine.stats();
-    (
-        Sample {
-            edges: s1.edges_processed - s0.edges_processed,
-            wall_s,
-            records_combined: 0,
-            cache_hits: s1.cache_hit_pages - s0.cache_hit_pages,
-        },
-        parents.to_vec(),
-    )
+    Sample {
+        edges: s1.edges_processed - s0.edges_processed,
+        wall_s,
+        records_combined: 0,
+        cache_hits: s1.cache_hit_pages - s0.cache_hit_pages,
+    }
 }
 
 fn row(query: &str, arm: &str, s: &Sample, speedup: f64) -> Vec<String> {
@@ -131,10 +124,8 @@ fn main() {
     let scale = scale_from_env();
     let g = prepare(Dataset::Sk2005, scale);
 
-    // PageRank: byte-copy uncombined ("before") vs zero-copy + combining
-    // ("after").
-    let (pr_before, ranks_before) = run_pagerank(&g.csr, true, false);
-    let (pr_after, ranks_after) = run_pagerank(&g.csr, false, true);
+    let (pr_before, ranks_before) = run_pagerank(&g.csr, false);
+    let (pr_after, ranks_after) = run_pagerank(&g.csr, true);
     assert!(pr_before.cache_hits > 0, "warm cache must serve the run");
     assert_eq!(
         pr_before.edges, pr_after.edges,
@@ -152,19 +143,12 @@ fn main() {
         );
     }
     let pr_speedup = pr_after.edges_per_sec() / pr_before.edges_per_sec();
-
-    // BFS: byte-copy vs zero-copy decode (no combining on sparse
-    // frontiers).
-    let (bfs_before, parents_before) = run_bfs(&g.csr, true);
-    let (bfs_after, parents_after) = run_bfs(&g.csr, false);
-    assert_eq!(parents_before, parents_after, "BFS parents diverged");
-    let bfs_speedup = bfs_after.edges_per_sec() / bfs_before.edges_per_sec();
+    let bfs_sample = run_bfs(&g.csr);
 
     let rows = vec![
-        row("pagerank", "bytewise", &pr_before, 1.0),
-        row("pagerank", "zero_copy_combined", &pr_after, pr_speedup),
-        row("bfs", "bytewise", &bfs_before, 1.0),
-        row("bfs", "zero_copy", &bfs_after, bfs_speedup),
+        row("pagerank", "plain", &pr_before, 1.0),
+        row("pagerank", "combined", &pr_after, pr_speedup),
+        row("bfs", "plain", &bfs_sample, 1.0),
     ];
     print_table(
         &format!("Compute path A/B: cache-hot sk2005, {ITERS} PageRank iters + BFS"),
@@ -193,8 +177,5 @@ fn main() {
         &rows,
     );
     println!("\nwrote {}", path.display());
-    println!(
-        "pagerank speedup {pr_speedup:.2}x, bfs speedup {bfs_speedup:.2}x \
-         (zero-copy decode + scatter-side combining vs byte-copy baseline)"
-    );
+    println!("pagerank speedup {pr_speedup:.2}x (scatter-side combining vs plain staging)");
 }

@@ -20,18 +20,14 @@ use blaze_sync::Mutex;
 use blaze_binning::{BinSpace, BinValue, BinningConfig, ScatterStaging};
 use blaze_frontier::{PageSubset, PriorityFrontier, PrioritySnapshot, VertexSubset};
 use blaze_graph::DiskGraph;
-use blaze_storage::buffer::{FilledBuffer, IoBuffer};
-use blaze_storage::request::merge_pages_with_window;
-use blaze_storage::{
-    BufferPool, FlightLease, FlightPart, FlightTable, IoBackend, IoRequest, JobIoStats, PageCache,
-    PageFrame,
-};
-use blaze_types::{BlazeError, IterationTrace, LocalPageId, Result, VertexId, PAGE_SIZE};
+use blaze_storage::{BufferPool, FlightTable, IoBackend, JobIoStats, PageCache};
+use blaze_types::{BlazeError, IterationTrace, Result, VertexId};
 
 use crate::arena::EngineArena;
 use crate::options::EngineOptions;
 use crate::runtime::{PipelineJob, Runtime};
 use crate::stats::{fill_io_trace_from_job, ExecStats};
+use crate::supply::PageSupply;
 
 /// Increments a counter when dropped — even if the owning worker panics in
 /// user code, so peers waiting on the counter cannot spin forever.
@@ -166,6 +162,13 @@ impl BlazeEngine {
     /// The effective binning configuration.
     pub fn binning(&self) -> &BinningConfig {
         &self.binning
+    }
+
+    /// The cache of idle per-job buffer pools and bin spaces. A job that
+    /// finished cleanly (or failed with a drained IO path) leaves its
+    /// pieces here; [`EngineArena::idle_len`] lets tests see that it did.
+    pub fn arena(&self) -> &EngineArena {
+        &self.arena
     }
 
     /// The persistent pipeline runtime serving this engine's jobs.
@@ -599,339 +602,9 @@ where
     /// Submission sequence number, assigned by the runtime under its queue
     /// lock before any worker sees the job (`u64::MAX` until then). Scan
     /// sharing compares it against a flight's leader to decide between
-    /// parking and a non-blocking probe (see `pump_shared`).
+    /// parking and a non-blocking probe (see `PageSupply::read_shared`).
     order: AtomicU64,
     io_stats: JobIoStats,
-}
-
-impl<V, FS, FG, FM, FC> EdgeMapJob<'_, V, FS, FG, FM, FC>
-where
-    V: BinValue,
-    FS: Fn(VertexId, VertexId) -> V + Sync,
-    FG: Fn(VertexId, V) -> bool + Sync,
-    FM: Fn(V, V) -> V + Sync,
-    FC: Fn(VertexId) -> bool + Sync,
-{
-    /// Records `e` as the job's failure unless one is already recorded —
-    /// first error wins, so a root-cause device error is not clobbered by
-    /// the knock-on errors of other devices.
-    fn record_error(&self, e: BlazeError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-
-    /// One IO worker's work: fetch the device's local page list into
-    /// filled buffers. Without a page cache, contiguous local pages merge
-    /// into requests of up to `merge_window` pages — the published IO path,
-    /// byte-for-byte under the synchronous backend. With the cache (the
-    /// paper's future-work extension), the worker first consults the cache
-    /// page by page: hits are packed into shared buffers straight from
-    /// frames, and only the *misses* are re-merged into contiguous runs, so
-    /// a hit in the middle of what would have been one request splits it
-    /// into two shorter device reads. Either way the merged requests are
-    /// then pumped through the engine's [`IoBackend`] with up to
-    /// `queue_depth` in flight.
-    fn fetch_device(&self, dev: usize, lane: usize) -> Result<()> {
-        let storage = self.engine.graph.storage();
-        let merge_window = self.engine.options.merge_window;
-        let local_pages = self.pages.local_pages(dev);
-        let Some(cache) = &self.engine.cache else {
-            return self.pump(
-                dev,
-                lane,
-                merge_pages_with_window(local_pages, merge_window),
-            );
-        };
-        // Cache pass: serve hits from frames, collect misses. Consecutive
-        // hits pack into one buffer (frame `i` ↔ `pages[i]`, no contiguity
-        // promised) instead of costing a pool buffer per page.
-        let capacity = self.pool.pages_per_buffer();
-        let mut pending: Option<(IoBuffer, Vec<u64>)> = None;
-        let flush = |packed: (IoBuffer, Vec<u64>)| {
-            self.pool.push_filled(FilledBuffer {
-                buffer: packed.0,
-                pages: packed.1,
-            });
-        };
-        let mut misses: Vec<LocalPageId> = Vec::new();
-        let mut hits = 0u64;
-        let mut hot_hits = 0u64;
-        let hot_pages = self.engine.graph.pagemap().hot_pages();
-        for &local in local_pages {
-            let global = storage.global_page(dev, local);
-            let Some(data) = cache.get(global) else {
-                // A miss ends the current hit run; flush it so scatter can
-                // start on the hits while the device read is in flight.
-                if let Some(packed) = pending.take() {
-                    flush(packed);
-                }
-                misses.push(local);
-                continue;
-            };
-            hits += 1;
-            hot_hits += u64::from(global < hot_pages);
-            let mut packed = pending
-                .take()
-                .unwrap_or_else(|| (self.pool.acquire_free(), Vec::new()));
-            let slot = packed.1.len();
-            packed.0.pages_mut(slot + 1)[slot * PAGE_SIZE..].copy_from_slice(&data);
-            packed.1.push(global);
-            if packed.1.len() == capacity {
-                flush(packed);
-            } else {
-                pending = Some(packed);
-            }
-        }
-        if let Some(packed) = pending.take() {
-            flush(packed);
-        }
-        if hits > 0 {
-            self.io_stats.record_cache_hits(dev, hits);
-        }
-        if hot_hits > 0 {
-            self.io_stats.record_cache_hot_hits(dev, hot_hits);
-        }
-        // Miss pass: hits punched holes into the page list, so re-merging
-        // naturally splits runs around them before touching the device.
-        self.pump(dev, lane, merge_pages_with_window(&misses, merge_window))
-    }
-
-    /// Routes merged requests to the device: through the flight table when
-    /// scan sharing is on, straight to the backend otherwise.
-    fn pump(&self, dev: usize, lane: usize, requests: Vec<IoRequest>) -> Result<()> {
-        match &self.engine.flights {
-            Some(table) => self.pump_shared(dev, lane, table, requests),
-            None => self.pump_requests(dev, lane, requests, Vec::new()),
-        }
-    }
-
-    /// Scan-sharing pump (single-flight miss coalescing): each merged
-    /// request is split against the [`FlightTable`]. Subranges nobody else
-    /// is reading become *lead* parts — registered before this returns, so
-    /// concurrent planners of the same pages join instead of double-reading
-    /// — and go to the device exactly once, carrying their leases so the
-    /// completed frames fan out to every subscriber. Subranges already in
-    /// flight (or retained from a recent flight) become *join* parts and
-    /// are satisfied from the leader's frames without touching the device.
-    ///
-    /// Deadlock discipline: leases are all resolved (the lead pump returns)
-    /// before any ticket is consulted, so a parked subscriber never holds a
-    /// flight another job is parked on. A ticket is *waited* on only when
-    /// its leader is strictly older (smaller submission seq) than this job;
-    /// the runtime serves every worker's mailbox in submission order, so an
-    /// older leader's IO role is never queued behind this job and the
-    /// cross-job wait graph stays acyclic. Younger leaders are only probed
-    /// (`try_wait`); on a miss the subrange is re-read here — a duplicate
-    /// device read, never a correctness hazard.
-    fn pump_shared(
-        &self,
-        dev: usize,
-        lane: usize,
-        table: &FlightTable,
-        requests: Vec<IoRequest>,
-    ) -> Result<()> {
-        let my_seq = self.order.load(Ordering::Acquire); // sync-audit: written once by Runtime::submit under its queue lock before any worker runs this job.
-        let mut leads: Vec<IoRequest> = Vec::new();
-        let mut leases: Vec<Option<FlightLease>> = Vec::new();
-        let mut tickets = Vec::new();
-        for request in requests {
-            for part in table.plan(dev, request, my_seq) {
-                match part {
-                    FlightPart::Lead(lease) => {
-                        leads.push(lease.request());
-                        leases.push(Some(lease));
-                    }
-                    FlightPart::Join(ticket) => tickets.push(ticket),
-                }
-            }
-        }
-        if !leases.is_empty() {
-            self.io_stats.record_flights_led(dev, leads.len() as u64);
-        }
-        self.pump_requests(dev, lane, leads, leases)?;
-        let mut fallback: Vec<IoRequest> = Vec::new();
-        let mut shared_pages = 0u64;
-        let mut first_error: Option<BlazeError> = None;
-        for ticket in tickets {
-            if first_error.is_some() {
-                break;
-            }
-            let outcome = if ticket.leader_seq() < my_seq {
-                Some(ticket.wait())
-            } else {
-                ticket.try_wait()
-            };
-            match outcome {
-                Some(Ok(frames)) => {
-                    shared_pages += frames.len() as u64;
-                    self.pack_shared(dev, ticket.first_page(), &frames);
-                }
-                Some(Err(e)) => first_error = Some(e),
-                None => fallback.push(IoRequest {
-                    first_page: ticket.first_page(),
-                    num_pages: ticket.num_pages(),
-                }),
-            }
-        }
-        if shared_pages > 0 {
-            self.io_stats.record_shared_hits(dev, shared_pages);
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => self.pump_requests(dev, lane, fallback, Vec::new()),
-        }
-    }
-
-    /// Hands subscriber-received frames to scatter: packed into pool
-    /// buffers exactly like cache hits (frame `i` ↔ `pages[i]`, no
-    /// contiguity promised). The leader already admitted these pages to
-    /// the cache, so no insert happens here.
-    fn pack_shared(&self, dev: usize, first_local: LocalPageId, frames: &[PageFrame]) {
-        let storage = self.engine.graph.storage();
-        let capacity = self.pool.pages_per_buffer();
-        for (chunk_idx, chunk) in frames.chunks(capacity).enumerate() {
-            let mut buffer = self.pool.acquire_free();
-            let mut globals = Vec::with_capacity(chunk.len());
-            for (slot, frame) in chunk.iter().enumerate() {
-                let offset = (chunk_idx * capacity + slot) as u64;
-                buffer.pages_mut(slot + 1)[slot * PAGE_SIZE..].copy_from_slice(frame.as_ref());
-                globals.push(storage.global_page(dev, first_local + offset));
-            }
-            self.pool.push_filled(FilledBuffer {
-                buffer,
-                pages: globals,
-            });
-        }
-    }
-
-    /// Pumps `requests` through the lane's IO backend: keeps up to
-    /// `queue_depth` submissions in flight, reaps completions (possibly out
-    /// of order), and hands successful buffers to scatter. On an error the
-    /// pump stops submitting but keeps reaping until the queue drains, so
-    /// no buffer is lost and the pool stays intact — first error wins.
-    ///
-    /// With scan sharing, `leases[i]` is the flight lease for `requests[i]`
-    /// (the submit tag indexes both): a successful completion fans its
-    /// frames out to the flight's subscribers, a failed one propagates the
-    /// error to them, and leases never submitted (pump stopped early) are
-    /// failed by their `Drop` when the vector falls off the end — no
-    /// subscriber is ever left parked. Without sharing, pass an empty
-    /// vector.
-    fn pump_requests(
-        &self,
-        dev: usize,
-        lane: usize,
-        requests: Vec<IoRequest>,
-        mut leases: Vec<Option<FlightLease>>,
-    ) -> Result<()> {
-        if requests.is_empty() {
-            return Ok(());
-        }
-        let storage = self.engine.graph.storage();
-        let backend = &self.engine.backends[lane];
-        let window = backend.queue_depth().max(1);
-        let mut next = 0usize;
-        let mut in_flight = 0usize;
-        let mut first_error: Option<BlazeError> = None;
-        while next < requests.len() || in_flight > 0 {
-            while first_error.is_none() && in_flight < window && next < requests.len() {
-                let buffer = self.pool.acquire_free();
-                backend.submit(dev, requests[next], buffer, next as u64);
-                next += 1;
-                in_flight += 1;
-                self.io_stats.record_submit(dev, in_flight as u64);
-            }
-            if in_flight == 0 {
-                break;
-            }
-            let completion = backend.reap(dev);
-            in_flight -= 1;
-            self.io_stats.record_latency(dev, completion.service_ns);
-            let buffer = completion.buffer;
-            let lease = leases
-                .get_mut(completion.tag as usize)
-                .and_then(Option::take);
-            match completion.result {
-                Err(e) => {
-                    if let Some(lease) = lease {
-                        lease.fail(&e.to_string());
-                    }
-                    self.pool.release(buffer);
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Ok(()) if first_error.is_some() => {
-                    // Draining after an error: data is good but the job is
-                    // failing; subscribers still get their frames (their
-                    // jobs are not the ones failing), then the buffer goes
-                    // back to the pool.
-                    if let Some(lease) = lease {
-                        let n = completion.request.num_pages as usize;
-                        lease.complete(page_frames(&buffer, n));
-                    }
-                    self.pool.release(buffer);
-                }
-                Ok(()) => {
-                    let first = completion.request.first_page;
-                    let n = completion.request.num_pages as usize;
-                    self.io_stats.record_read(dev, first, n);
-                    // Subscribers want per-page `Arc` frames; build them
-                    // once and let the cache admit the same allocations.
-                    let frames = lease.is_some().then(|| page_frames(&buffer, n));
-                    if let Some(cache) = &self.engine.cache {
-                        self.io_stats.record_cache_misses(dev, n as u64);
-                        let mut evictions = 0;
-                        let mut hot_admits = 0;
-                        for i in 0..n {
-                            let global = storage.global_page(dev, first + i as u64);
-                            let frame = match &frames {
-                                Some(frames) => frames[i].clone(),
-                                None => {
-                                    let start = i * PAGE_SIZE;
-                                    buffer.pages(n)[start..start + PAGE_SIZE].into()
-                                }
-                            };
-                            let outcome = cache.insert(global, frame);
-                            evictions += u64::from(outcome.evicted);
-                            hot_admits += u64::from(outcome.hot_admitted);
-                        }
-                        if evictions > 0 {
-                            self.io_stats.record_cache_evictions(dev, evictions);
-                        }
-                        if hot_admits > 0 {
-                            self.io_stats.record_cache_hot_admits(dev, hot_admits);
-                        }
-                    }
-                    if let (Some(lease), Some(frames)) = (lease, frames) {
-                        lease.complete(frames);
-                    }
-                    let globals = (0..n as u64)
-                        .map(|i| storage.global_page(dev, first + i))
-                        .collect();
-                    self.pool.push_filled(FilledBuffer {
-                        buffer,
-                        pages: globals,
-                    });
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Per-page `Arc` frames of `buffer`'s first `n` pages — the fan-out
-/// currency of the flight table and the page cache.
-fn page_frames(buffer: &IoBuffer, n: usize) -> Vec<PageFrame> {
-    let data = buffer.pages(n);
-    (0..n)
-        .map(|i| data[i * PAGE_SIZE..(i + 1) * PAGE_SIZE].into())
-        .collect()
 }
 
 impl<V, FS, FG, FM, FC> PipelineJob for EdgeMapJob<'_, V, FS, FG, FM, FC>
@@ -943,7 +616,7 @@ where
     FC: Fn(VertexId) -> bool + Sync,
 {
     /// Records the submission sequence number the runtime assigned under
-    /// its queue lock; `pump_shared` reads it for the park/probe decision.
+    /// its queue lock; the page supply reads it for the park/probe decision.
     fn set_order(&self, seq: u64) {
         self.order.store(seq, Ordering::Release); // sync-audit: happens-before every worker via the runtime queue lock.
     }
@@ -956,8 +629,23 @@ where
         let _done = CompletionGuard {
             counter: &self.io_done,
         };
-        if let Err(e) = self.fetch_device(device, lane) {
-            self.record_error(e);
+        let engine = self.engine;
+        let supply = PageSupply {
+            storage: engine.graph.storage(),
+            cache: engine.cache.as_ref(),
+            flights: engine.flights.as_ref(),
+            backend: engine.backends[lane].as_ref(),
+            pool: self.pool,
+            stats: &self.io_stats,
+            dev: device,
+            merge_window: engine.options.merge_window,
+            hot_pages: engine.graph.pagemap().hot_pages(),
+            seq: self.order.load(Ordering::Acquire), // sync-audit: written once by Runtime::submit under its queue lock before any worker runs this job.
+        };
+        if let Err(e) = supply.run(self.pages.local_pages(device)) {
+            // First error wins, so a root-cause device error is not
+            // clobbered by the knock-on errors of other devices.
+            self.error.lock().get_or_insert(e);
         }
     }
 
@@ -998,10 +686,9 @@ where
         // construction, so the per-source membership probe is pure overhead
         // in dense iterations (PageRank, WCC) — hoist it out of the loop.
         let all_active = self.frontier.is_complete();
-        let bytewise = self.engine.options.bytewise_decode;
         let backoff = Backoff::new();
         loop {
-            let Some(filled) = self.pool.pop_filled() else {
+            let Some(batch) = self.pool.pop_filled() else {
                 if self.io_done.load(Ordering::Acquire) == self.num_devices // sync-audit: completion counter; guarded by the filled-queue recheck below.
                     && self.pool.filled_len() == 0
                 {
@@ -1014,9 +701,9 @@ where
             };
             backoff.reset();
             let t = Instant::now();
-            for (i, &page) in filled.pages.iter().enumerate() {
-                let data = filled.page_data(i);
-                let mut body = |src: VertexId, dsts: &[VertexId]| {
+            for i in 0..batch.num_pages() {
+                batch.prefetch(i + 1);
+                let body = |src: VertexId, dsts: &[VertexId]| {
                     if !all_active && !self.frontier.contains(src) {
                         return;
                     }
@@ -1042,20 +729,14 @@ where
                         }
                     }
                 };
-                if bytewise {
-                    self.engine.graph.for_each_vertex_in_page_bytewise(
-                        page,
-                        data,
-                        &mut scratch,
-                        &mut body,
-                    );
-                } else {
-                    self.engine
-                        .graph
-                        .for_each_vertex_in_page(page, data, &mut scratch, &mut body);
-                }
+                self.engine.graph.for_each_vertex_in_page(
+                    batch.page_id(i),
+                    batch.page_data(i),
+                    &mut scratch,
+                    body,
+                );
             }
-            self.pool.release(filled.buffer);
+            self.pool.finish(batch);
             busy_ns += t.elapsed().as_nanos() as u64;
         }
         if let (Some(staging), Some(space)) = (&mut staging, self.space) {
@@ -1119,21 +800,21 @@ impl std::fmt::Debug for BlazeEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::vertex_array::VertexArray;
     use blaze_graph::gen::{rmat, uniform, RmatConfig};
     use blaze_graph::Csr;
     use blaze_storage::StripedStorage;
 
-    fn engine(g: &Csr, devices: usize, options: EngineOptions) -> BlazeEngine {
+    pub(crate) fn engine(g: &Csr, devices: usize, options: EngineOptions) -> BlazeEngine {
         let storage = Arc::new(StripedStorage::in_memory(devices).unwrap());
         let graph = Arc::new(DiskGraph::create(g, storage).unwrap());
         BlazeEngine::new(graph, options).unwrap()
     }
 
     /// In-memory BFS parents -> levels for comparison.
-    fn bfs_levels_ref(g: &Csr, root: u32) -> Vec<i64> {
+    pub(crate) fn bfs_levels_ref(g: &Csr, root: u32) -> Vec<i64> {
         let mut level = vec![-1i64; g.num_vertices()];
         level[root as usize] = 0;
         let mut frontier = vec![root];
@@ -1155,7 +836,7 @@ mod tests {
     }
 
     /// Out-of-core BFS levels via edge_map.
-    fn bfs_levels_engine(engine: &BlazeEngine, root: u32, sync: bool) -> Vec<i64> {
+    pub(crate) fn bfs_levels_engine(engine: &BlazeEngine, root: u32, sync: bool) -> Vec<i64> {
         let n = engine.num_vertices();
         let level = VertexArray::<i64>::new(n, -1);
         level.set(root as usize, 0);
@@ -1345,126 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn page_cache_serves_repeated_iterations() {
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2, EngineOptions::default().with_page_cache(1 << 16));
-        let frontier = VertexSubset::full(g.num_vertices());
-        for _ in 0..2 {
-            e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
-                .unwrap();
-        }
-        let traces = e.take_traces();
-        assert_eq!(traces[0].cache_hit_pages, 0, "cold cache");
-        let pages = traces[0].total_io_bytes() / 4096;
-        assert_eq!(traces[0].cache_miss_pages, pages, "cold pass all misses");
-        assert_eq!(traces[1].cache_hit_pages, pages, "second pass fully cached");
-        assert_eq!(traces[1].cache_miss_pages, 0);
-        assert_eq!(traces[1].total_io_bytes(), 0, "no device reads when cached");
-        let stats = e.stats();
-        assert_eq!(stats.cache_hit_pages, pages);
-        assert_eq!(stats.cache_miss_pages, pages);
-    }
-
-    #[test]
-    fn zero_budget_bypasses_cache_entirely() {
-        let g = rmat(&RmatConfig::new(9));
-        let uncached = engine(&g, 2, EngineOptions::default());
-        let bypassed = engine(&g, 2, EngineOptions::default().with_cache_bytes(0));
-        assert!(bypassed.page_cache().is_none(), "0 bytes means no cache");
-        // Sub-page budgets round down to zero frames and are also bypassed.
-        let tiny = engine(&g, 2, EngineOptions::default().with_cache_bytes(100));
-        assert!(tiny.page_cache().is_none());
-        let frontier = VertexSubset::full(g.num_vertices());
-        for e in [&uncached, &bypassed] {
-            for _ in 0..2 {
-                e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
-                    .unwrap();
-            }
-        }
-        let a = uncached.take_traces();
-        let b = bypassed.take_traces();
-        for (ta, tb) in a.iter().zip(&b) {
-            assert_eq!(ta.io_bytes_per_device, tb.io_bytes_per_device);
-            assert_eq!(ta.io_requests_per_device, tb.io_requests_per_device);
-            assert_eq!(
-                ta.io_sequential_requests_per_device,
-                tb.io_sequential_requests_per_device
-            );
-            assert_eq!(tb.cache_hit_pages, 0);
-            assert_eq!(tb.cache_miss_pages, 0);
-            assert_eq!(tb.cache_evictions, 0);
-        }
-    }
-
-    #[test]
-    fn cache_hit_splits_merged_runs() {
-        // Prime only the middle page of a contiguous three-page run: the
-        // next scan must serve it from the cache and read the two
-        // neighbors as two separate single-page requests.
-        let g = rmat(&RmatConfig::new(10));
-        let e = engine(&g, 1, EngineOptions::default().with_page_cache(1));
-        let n = g.num_vertices();
-        // A vertex whose single page sits strictly inside the page range of
-        // a full scan.
-        let v = (0..n as u32)
-            .find(|&v| {
-                e.graph()
-                    .pages_of_vertex(v)
-                    .is_some_and(|r| r.start() == r.end() && *r.start() > 0)
-            })
-            .unwrap();
-        e.edge_map(
-            &VertexSubset::single(n, v),
-            |s, _d| s,
-            |_d, _v| false,
-            |_| true,
-            false,
-        )
-        .unwrap();
-        let frontier = VertexSubset::full(n);
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
-            .unwrap();
-        let traces = e.take_traces();
-        let t = &traces[1];
-        assert!(t.cache_hit_pages >= 1, "primed page must hit");
-        // The hole forces at least one extra request versus unbroken
-        // merging of the same page count.
-        let pages = (t.total_io_bytes() / 4096) as usize;
-        let window = e.options().merge_window as u64;
-        assert!(
-            t.total_io_requests() > (pages as u64).div_ceil(window),
-            "a mid-run hit must split a merged request"
-        );
-    }
-
-    #[test]
-    fn cached_bfs_matches_reference() {
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 1, EngineOptions::default().with_page_cache(128));
-        assert_eq!(bfs_levels_engine(&e, 0, false), bfs_levels_ref(&g, 0));
-        let s = e.page_cache().unwrap().stats();
-        assert!(s.hits + s.misses > 0);
-    }
-
-    #[test]
-    fn tiny_cache_partially_serves() {
-        let g = rmat(&RmatConfig::new(10));
-        let e = engine(&g, 1, EngineOptions::default().with_page_cache(4));
-        let frontier = VertexSubset::full(g.num_vertices());
-        for _ in 0..2 {
-            e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
-                .unwrap();
-        }
-        let traces = e.take_traces();
-        let pages = traces[0].total_io_bytes() / 4096;
-        assert!(
-            traces[1].cache_hit_pages < pages / 2,
-            "4-page cache cannot serve a scan"
-        );
-        assert!(traces[1].total_io_bytes() > 0);
-    }
-
-    #[test]
     fn atomic_ops_counted_only_in_sync_variant() {
         let g = rmat(&RmatConfig::new(8));
         let e = engine(&g, 1, EngineOptions::default());
@@ -1487,310 +1048,14 @@ mod tests {
         e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
             .unwrap();
         // A clean job recycles its pool and bin space into the arena cache.
-        assert_eq!(e.arena.idle_len(), 2);
+        assert_eq!(e.arena().idle_len(), 2);
         e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
             .unwrap();
-        assert_eq!(e.arena.idle_len(), 2, "second job reused the cached arena");
-    }
-
-    #[test]
-    fn threaded_backend_bfs_matches_reference() {
-        let g = uniform(9, 8, 7);
-        for devices in [1, 4] {
-            let e = engine(&g, devices, EngineOptions::default().with_queue_depth(8));
-            assert_eq!(bfs_levels_engine(&e, 1, false), bfs_levels_ref(&g, 1));
-            // And with the cache in the loop (packed hit buffers + deep
-            // queue on the miss path).
-            let e = engine(
-                &g,
-                devices,
-                EngineOptions::default()
-                    .with_queue_depth(8)
-                    .with_page_cache(64),
-            );
-            assert_eq!(bfs_levels_engine(&e, 1, false), bfs_levels_ref(&g, 1));
-        }
-    }
-
-    #[test]
-    fn traces_record_in_flight_depth() {
-        // Big enough that one device sees well over `queue_depth` merged
-        // requests (4096 vertices × 16 edges ≈ 64 pages ≈ 16 requests).
-        let g = uniform(12, 16, 3);
-        let frontier = VertexSubset::full(g.num_vertices());
-        // Synchronous backend: exactly one request in flight, ever.
-        let e = engine(&g, 2, EngineOptions::default());
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
-            .unwrap();
-        let t = e.take_traces().pop().unwrap();
-        assert_eq!(t.io_max_in_flight, 1);
-        assert!((t.io_mean_in_flight - 1.0).abs() < 1e-9);
         assert_eq!(
-            t.io_latency_buckets.iter().sum::<u64>(),
-            t.total_io_requests(),
-            "every request lands in one latency bucket"
-        );
-        assert_eq!(e.stats().io_max_in_flight, 1);
-        // Threaded backend: the pump fills the window before reaping, so a
-        // scan with enough requests per device must reach the full depth.
-        let e = engine(&g, 1, EngineOptions::default().with_queue_depth(8));
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
-            .unwrap();
-        let t = e.take_traces().pop().unwrap();
-        assert!(t.total_io_requests() >= 8, "scan too small for the window");
-        assert_eq!(t.io_max_in_flight, 8);
-        assert!(t.io_mean_in_flight > 1.0);
-        assert!(t.io_mean_in_flight <= 8.0);
-        assert_eq!(
-            t.io_latency_buckets.iter().sum::<u64>(),
-            t.total_io_requests()
-        );
-        assert_eq!(e.stats().io_max_in_flight, 8);
-    }
-
-    #[test]
-    fn packed_cache_hits_deliver_every_edge() {
-        // A fully-cached second scan serves hits from *packed* buffers
-        // (many frames per buffer); every edge must still be delivered
-        // exactly once through the frame ↔ pages[i] mapping.
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2, EngineOptions::default().with_page_cache(1 << 16));
-        let frontier = VertexSubset::full(g.num_vertices());
-        for pass in 0..2 {
-            let sum = VertexArray::<u64>::new(g.num_vertices(), 0);
-            e.edge_map(
-                &frontier,
-                |_s, _d| 1u32,
-                |dst, v| {
-                    sum.set(dst as usize, sum.get(dst as usize) + v as u64);
-                    true
-                },
-                |_| true,
-                false,
-            )
-            .unwrap();
-            let total: u64 = (0..g.num_vertices()).map(|i| sum.get(i)).sum();
-            assert_eq!(total, g.num_edges(), "pass {pass} delivered every edge");
-        }
-        let traces = e.take_traces();
-        let pages = traces[0].total_io_bytes() / 4096;
-        assert_eq!(traces[1].cache_hit_pages, pages, "second pass fully cached");
-        assert_eq!(traces[1].total_io_bytes(), 0);
-    }
-
-    #[test]
-    fn io_error_fails_job_and_recycles_arena() {
-        use blaze_storage::{FaultyDevice, MemDevice, StripedStorage};
-        let g = rmat(&RmatConfig::new(8));
-        let storage = Arc::new(
-            StripedStorage::new(vec![Arc::new(FaultyDevice::fail_every(
-                MemDevice::new(),
-                1,
-            ))])
-            .unwrap(),
-        );
-        let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
-        let e = BlazeEngine::new(graph, EngineOptions::default()).unwrap();
-        let frontier = VertexSubset::full(g.num_vertices());
-        let r = e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false);
-        assert!(matches!(r, Err(BlazeError::Io(_))), "got {r:?}");
-        // The job drained cleanly: its pool returned every buffer and both
-        // arena pieces were recycled for the next job.
-        assert_eq!(e.arena.idle_len(), 2, "failed job must recycle its arena");
-    }
-
-    #[test]
-    fn io_error_under_threaded_backend_drains_and_fails() {
-        use blaze_storage::{FaultyDevice, MemDevice, StripedStorage};
-        let g = uniform(12, 16, 3);
-        // Every third read fails: successes and failures interleave in the
-        // completion stream at depth 8, exercising the drain path.
-        let storage = Arc::new(
-            StripedStorage::new(vec![Arc::new(FaultyDevice::fail_every(
-                MemDevice::new(),
-                3,
-            ))])
-            .unwrap(),
-        );
-        let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
-        let e = BlazeEngine::new(graph, EngineOptions::default().with_queue_depth(8)).unwrap();
-        let frontier = VertexSubset::full(g.num_vertices());
-        let r = e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false);
-        assert!(matches!(r, Err(BlazeError::Io(_))), "got {r:?}");
-        assert_eq!(e.arena.idle_len(), 2, "drained job must recycle its arena");
-    }
-
-    /// Full-frontier edge-count scan: delivers every edge exactly once
-    /// when correct, so the returned sum doubles as a delivery check.
-    fn edge_sum(e: &BlazeEngine) -> u64 {
-        let n = e.num_vertices();
-        let frontier = VertexSubset::full(n);
-        let sum = VertexArray::<u64>::new(n, 0);
-        e.edge_map(
-            &frontier,
-            |_s, _d| 1u32,
-            |dst, v| {
-                sum.set(dst as usize, sum.get(dst as usize) + v as u64);
-                true
-            },
-            |_| true,
-            false,
-        )
-        .unwrap();
-        (0..n).map(|i| sum.get(i)).sum()
-    }
-
-    #[test]
-    fn retained_flights_serve_back_to_back_scans() {
-        // With scan sharing on and no page cache, the retention ring alone
-        // must serve a repeat scan: every page of the second pass joins a
-        // retained flight and zero device bytes move.
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2, EngineOptions::default().with_scan_sharing(true));
-        assert_eq!(edge_sum(&e), g.num_edges(), "first pass delivery");
-        assert_eq!(edge_sum(&e), g.num_edges(), "shared-frame pass delivery");
-        let traces = e.take_traces();
-        let pages = traces[0].total_io_bytes() / PAGE_SIZE as u64;
-        assert!(traces[0].flights_led > 0, "cold pass leads its reads");
-        assert_eq!(
-            traces[0].shared_hit_pages, 0,
-            "cold pass has nothing to join"
-        );
-        assert_eq!(traces[1].total_io_bytes(), 0, "repeat scan fully shared");
-        assert_eq!(traces[1].shared_hit_pages, pages);
-        assert_eq!(traces[1].flights_led, 0);
-        let stats = e.stats();
-        assert_eq!(stats.shared_hit_pages, pages);
-        assert_eq!(stats.shared_bytes, pages * PAGE_SIZE as u64);
-        assert!(stats.flights_led > 0);
-    }
-
-    #[test]
-    fn zero_retention_scan_sharing_still_reads_everything() {
-        // retain = 0: only concurrently-pending flights coalesce, so two
-        // back-to-back scans both pay full device IO — and both deliver.
-        let g = rmat(&RmatConfig::new(8));
-        let e = engine(
-            &g,
-            1,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_retain(0),
-        );
-        assert_eq!(edge_sum(&e), g.num_edges());
-        assert_eq!(edge_sum(&e), g.num_edges());
-        let traces = e.take_traces();
-        assert_eq!(traces[0].total_io_bytes(), traces[1].total_io_bytes());
-        assert_eq!(traces[1].shared_hit_pages, 0);
-    }
-
-    #[test]
-    fn concurrent_shared_scans_conserve_pages_and_deliver_every_edge() {
-        // K identical concurrent full scans under sharing: each job's
-        // device pages + shared pages must equal the solo page count (every
-        // planned page lands in exactly one flight part), every job's edge
-        // delivery must be exact, and — with flights either pending or
-        // retained whenever a later planner arrives — somebody shares.
-        let g = rmat(&RmatConfig::new(9));
-        let solo = engine(&g, 2, EngineOptions::default());
-        assert_eq!(edge_sum(&solo), g.num_edges());
-        let solo_pages = solo.take_traces()[0].total_io_bytes() / PAGE_SIZE as u64;
-        let e = engine(
-            &g,
+            e.arena().idle_len(),
             2,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_lanes(4),
+            "second job reused the cached arena"
         );
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| edge_sum(&e))).collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), g.num_edges());
-            }
-        });
-        let traces = e.take_traces();
-        assert_eq!(traces.len(), 4);
-        for t in &traces {
-            let device_pages = t.total_io_bytes() / PAGE_SIZE as u64;
-            assert_eq!(
-                device_pages + t.shared_hit_pages,
-                solo_pages,
-                "every page read once or shared"
-            );
-        }
-        let stats = e.stats();
-        assert!(stats.shared_hit_pages > 0, "concurrent scans must share");
-        assert!(stats.flights_led > 0);
-    }
-
-    #[test]
-    fn failed_leader_wave_does_not_wedge_the_next_wave() {
-        use blaze_storage::{FaultyDevice, MemDevice, StripedStorage};
-        // Wave 1: every device read fails, so leaders fail their flights
-        // and subscribers see the propagated error — all jobs fail. Heal
-        // the device; wave 2 on the same engine must succeed: no wedged
-        // waiters, no leaked flights, arena fully recycled.
-        let g = rmat(&RmatConfig::new(8));
-        let dev = Arc::new(FaultyDevice::fail_every(MemDevice::new(), 1));
-        let storage = Arc::new(StripedStorage::new(vec![dev.clone()]).unwrap());
-        let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
-        let e = BlazeEngine::new(
-            graph,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_lanes(4),
-        )
-        .unwrap();
-        let frontier = VertexSubset::full(g.num_vertices());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false))
-                })
-                .collect();
-            for h in handles {
-                let r = h.join().unwrap();
-                assert!(matches!(r, Err(BlazeError::Io(_))), "got {r:?}");
-            }
-        });
-        assert!(dev.injected_failures() > 0);
-        // Concurrent jobs may have forced extra arenas into existence, but
-        // every piece checked out must be back (pool + space pairs).
-        let idle = e.arena.idle_len();
-        assert!(
-            idle >= 2 && idle.is_multiple_of(2),
-            "failed wave recycled its arenas, idle {idle}"
-        );
-        dev.set_fail_every(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| edge_sum(&e))).collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), g.num_edges(), "healed wave delivers");
-            }
-        });
-    }
-
-    #[test]
-    fn shared_scans_match_unshared_byte_identical_traces() {
-        // Sharing off vs a solo job with sharing on: identical request
-        // streams (one lane, no joins possible solo after reset) — the
-        // flight table must be IO-invisible to a lone job with retention 0.
-        let g = rmat(&RmatConfig::new(9));
-        let plain = engine(&g, 2, EngineOptions::default());
-        let shared = engine(
-            &g,
-            2,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_retain(0),
-        );
-        assert_eq!(edge_sum(&plain), g.num_edges());
-        assert_eq!(edge_sum(&shared), g.num_edges());
-        let a = plain.take_traces();
-        let b = shared.take_traces();
-        assert_eq!(a[0].io_bytes_per_device, b[0].io_bytes_per_device);
-        assert_eq!(a[0].io_requests_per_device, b[0].io_requests_per_device);
-        assert_eq!(b[0].shared_hit_pages, 0);
     }
 
     /// A star graph: every vertex points at vertex 0, so every staged
@@ -1862,13 +1127,6 @@ mod tests {
         let t = e.take_traces().pop().unwrap();
         assert_eq!(t.records_combined, 0);
         assert_eq!(t.records_produced, g.num_edges());
-    }
-
-    #[test]
-    fn bytewise_decode_matches_zero_copy() {
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2, EngineOptions::default().with_bytewise_decode(true));
-        assert_eq!(bfs_levels_engine(&e, 0, false), bfs_levels_ref(&g, 0));
     }
 
     #[test]

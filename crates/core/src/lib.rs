@@ -10,8 +10,10 @@
 //!
 //! 1. **IO workers** (one per device) pop local page ids, merge up to four
 //!    contiguous pages per request, read them into buffers from the job's
-//!    free MPMC queue, and push filled buffers to the filled MPMC queue.
-//! 2. **Scatter workers** pop filled buffers, decode each page via the
+//!    free MPMC queue, and push them to the filled MPMC queue as page
+//!    batches; pages already resident in the page cache or in another
+//!    job's read travel the same queue by reference (the `supply` module).
+//! 2. **Scatter workers** pop page batches, decode each page via the
 //!    page→vertex map, evaluate `cond`/`scatter` for every edge whose
 //!    source is in the frontier, and stage the resulting `(dst, value)`
 //!    records into bins through per-thread staging buffers.
@@ -74,6 +76,7 @@ pub mod options;
 pub mod runtime;
 pub mod shardpool;
 pub mod stats;
+mod supply;
 pub mod vertex_array;
 pub mod vertex_map;
 

@@ -64,11 +64,6 @@ pub struct EngineOptions {
     /// parallel path on tiny graphs (loom and smoke builds), raise it to
     /// pin small maps to one thread.
     pub vertex_map_grain: usize,
-    /// Decode adjacency pages with the pre-optimization byte-copy path
-    /// instead of the aligned zero-copy reinterpret. Only useful for A/B
-    /// measurement (the `compute_path` bench) and as a hard fallback; the
-    /// two paths are semantically identical.
-    pub bytewise_decode: bool,
     /// Cross-job scan sharing (single-flight miss coalescing): the first
     /// job to miss a page run leads the device read, overlapping
     /// concurrent misses subscribe to its completed frames, and a bounded
@@ -111,7 +106,6 @@ impl Default for EngineOptions {
             io_backend: IoBackendKind::Sync,
             queue_depth: 1,
             vertex_map_grain: DEFAULT_VERTEX_MAP_GRAIN,
-            bytewise_decode: false,
             scan_sharing: false,
             scan_share_lanes: 4,
             scan_share_retain: 128,
@@ -185,13 +179,6 @@ impl EngineOptions {
     /// Overrides the per-thread vertex-map serial grain (clamped to ≥ 1).
     pub fn with_vertex_map_grain(mut self, grain: usize) -> Self {
         self.vertex_map_grain = grain.max(1);
-        self
-    }
-
-    /// Selects the byte-copy adjacency decode (the `compute_path` bench's
-    /// "before" arm).
-    pub fn with_bytewise_decode(mut self, bytewise: bool) -> Self {
-        self.bytewise_decode = bytewise;
         self
     }
 
@@ -362,16 +349,6 @@ mod tests {
             ..Default::default()
         };
         assert!(o.validate().is_err());
-    }
-
-    #[test]
-    fn bytewise_decode_is_off_by_default() {
-        assert!(!EngineOptions::default().bytewise_decode);
-        assert!(
-            EngineOptions::default()
-                .with_bytewise_decode(true)
-                .bytewise_decode
-        );
     }
 
     #[test]

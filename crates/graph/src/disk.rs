@@ -434,48 +434,6 @@ impl DiskGraph {
         }
     }
 
-    /// The pre-optimization page decode: per-vertex `degree`/`edge_offset`
-    /// index lookups and a byte-copy of every neighbor run into `scratch`.
-    ///
-    /// Semantically identical to [`for_each_vertex_in_page`]; kept as the
-    /// "before" arm of the `compute_path` bench
-    /// (`EngineOptions::bytewise_decode`) and as a behavior reference for
-    /// the zero-copy path.
-    ///
-    /// [`for_each_vertex_in_page`]: Self::for_each_vertex_in_page
-    pub fn for_each_vertex_in_page_bytewise<F>(
-        &self,
-        page: PageId,
-        data: &[u8],
-        scratch: &mut Vec<VertexId>,
-        mut f: F,
-    ) where
-        F: FnMut(VertexId, &[VertexId]),
-    {
-        debug_assert_eq!(data.len(), PAGE_SIZE);
-        let Some((begin, end)) = self.pagemap.vertices_in_page(page) else {
-            return;
-        };
-        let page_first_edge = page * EDGES_PER_PAGE as u64;
-        let page_last_edge = page_first_edge + EDGES_PER_PAGE as u64;
-        for v in begin..=end {
-            let deg = self.index.degree(v) as u64;
-            if deg == 0 {
-                continue;
-            }
-            let off = self.index.edge_offset(v);
-            let lo = off.max(page_first_edge);
-            let hi = (off + deg).min(page_last_edge);
-            if lo >= hi {
-                continue;
-            }
-            let byte_lo = ((lo - page_first_edge) * 4) as usize;
-            let byte_hi = ((hi - page_first_edge) * 4) as usize;
-            fallback::decode_run(scratch, &data[byte_lo..byte_hi]);
-            f(v, scratch);
-        }
-    }
-
     /// Reads the full adjacency list of `v` from storage. Convenience for
     /// tests and examples; the engine never calls this.
     pub fn read_neighbors(&self, v: VertexId) -> Result<Vec<VertexId>> {
@@ -574,22 +532,39 @@ mod tests {
         assert_eq!(total, g.num_edges());
     }
 
-    /// Collects `(src, dsts)` pairs from one page decode.
-    fn decode_page(
-        dg: &DiskGraph,
-        page: u64,
-        data: &[u8],
-        bytewise: bool,
-    ) -> Vec<(VertexId, Vec<VertexId>)> {
+    type Decoded = Vec<(VertexId, Vec<VertexId>)>;
+
+    /// Collects `(src, dsts)` pairs from one page decode, and whether the
+    /// decode went through `scratch` (the byte-copy fallback).
+    fn decode_page(dg: &DiskGraph, page: u64, data: &[u8]) -> (Decoded, bool) {
         let mut out = Vec::new();
         let mut scratch = Vec::new();
-        let collect = |src: VertexId, dsts: &[VertexId]| (src, dsts.to_vec());
-        if bytewise {
-            dg.for_each_vertex_in_page_bytewise(page, data, &mut scratch, |s, d| {
-                out.push(collect(s, d))
-            });
-        } else {
-            dg.for_each_vertex_in_page(page, data, &mut scratch, |s, d| out.push(collect(s, d)));
+        dg.for_each_vertex_in_page(page, data, &mut scratch, |s, d| out.push((s, d.to_vec())));
+        (out, !scratch.is_empty())
+    }
+
+    /// Test-only reference decoder sharing nothing with the hot path: no
+    /// cursor, no reinterpret — per-vertex index lookups and one
+    /// `from_le_bytes` per neighbor.
+    fn decode_page_reference(dg: &DiskGraph, page: u64, data: &[u8]) -> Decoded {
+        let Some((begin, end)) = dg.pagemap.vertices_in_page(page) else {
+            return Vec::new();
+        };
+        let first_edge = page * EDGES_PER_PAGE as u64;
+        let mut out = Vec::new();
+        for v in begin..=end {
+            let off = dg.index.edge_offset(v);
+            let lo = off.max(first_edge);
+            let hi = (off + dg.index.degree(v) as u64).min(first_edge + EDGES_PER_PAGE as u64);
+            if lo >= hi {
+                continue;
+            }
+            let bytes = &data[(lo - first_edge) as usize * 4..(hi - first_edge) as usize * 4];
+            let dsts = bytes
+                .chunks_exact(4)
+                .map(|c| VertexId::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect();
+            out.push((v, dsts));
         }
         out
     }
@@ -602,8 +577,8 @@ mod tests {
         for p in 0..dg.num_pages() {
             dg.storage().read_page(p, &mut buf).unwrap();
             assert_eq!(
-                decode_page(&dg, p, &buf, false),
-                decode_page(&dg, p, &buf, true),
+                decode_page(&dg, p, &buf).0,
+                decode_page_reference(&dg, p, &buf),
                 "page {p}"
             );
         }
@@ -620,11 +595,35 @@ mod tests {
         for p in 0..dg.num_pages() {
             dg.storage().read_page(p, &mut aligned).unwrap();
             shifted[1..].copy_from_slice(&aligned);
-            assert_eq!(
-                decode_page(&dg, p, &shifted[1..], false),
-                decode_page(&dg, p, &aligned, true),
-                "page {p}"
-            );
+            let (decoded, through_scratch) = decode_page(&dg, p, &shifted[1..]);
+            assert!(through_scratch, "page {p} cannot be reinterpreted in place");
+            assert_eq!(decoded, decode_page_reference(&dg, p, &aligned), "page {p}");
+        }
+    }
+
+    #[test]
+    fn arc_frames_decode_in_place() {
+        // Scatter decodes cache and flight frames (`Arc<[u8]>`) where they
+        // lie. The allocation puts the bytes after two word-sized counts,
+        // so they are word aligned and, on little-endian targets, every
+        // neighbor slice must borrow from the frame itself; a frame that
+        // fell to the byte-copy fallback would be silently slow.
+        let g = rmat(&RmatConfig::new(8));
+        let dg = disk_graph(&g, 1);
+        let mut buf = vec![0u8; PAGE_SIZE];
+        for p in 0..dg.num_pages() {
+            dg.storage().read_page(p, &mut buf).unwrap();
+            let frame: Arc<[u8]> = buf.as_slice().into();
+            let bytes = frame.as_ptr_range();
+            let mut scratch = Vec::new();
+            let mut runs = 0;
+            dg.for_each_vertex_in_page(p, &frame, &mut scratch, |_, dsts| {
+                runs += 1;
+                let in_place = bytes.contains(&dsts.as_ptr().cast());
+                assert_eq!(in_place, cfg!(target_endian = "little"), "page {p}");
+            });
+            assert!(runs > 0);
+            assert_eq!(scratch.is_empty(), cfg!(target_endian = "little"));
         }
     }
 

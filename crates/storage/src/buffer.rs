@@ -1,19 +1,28 @@
-//! IO buffers and the free/filled buffer queues of the EdgeMap engine
+//! IO buffers and the free/filled queues of the EdgeMap engine
 //! (Figure 5, steps 3–7).
 //!
 //! A fixed set of buffers is allocated up front (the paper uses a static
 //! 64 MiB pool for all workloads). IO threads take buffers from the *free*
 //! MPMC queue, fill them with up to [`MAX_MERGED_PAGES`] pages, and push them
-//! to the *filled* MPMC queue; scatter threads pop filled buffers and return
-//! them to the free queue when done. Because scatter keeps pace with IO, a
-//! small pool suffices — if it ever drains, IO threads back off, which is
-//! exactly the "fast producer, slow consumer" stall the paper describes for
-//! Graphene (Section III-C).
+//! to the *filled* MPMC queue as [`PageBatch`]es; scatter threads pop
+//! batches and hand them back when done, which returns the buffer to the
+//! free queue. Because scatter keeps pace with IO, a small pool suffices —
+//! if it ever drains, IO threads back off, which is exactly the "fast
+//! producer, slow consumer" stall the paper describes for Graphene
+//! (Section III-C).
+//!
+//! Pages that are already resident (page-cache hits, frames fanned out by
+//! another job's read) travel the same filled queue as batches of shared
+//! frames and take no buffer. The filled queue holds at most as many
+//! batches as the pool has buffers, so frames queued for a slow scatter
+//! are bounded by the pool's byte budget just like buffers are.
 
-use blaze_sync::queue::{ArrayQueue, SegQueue};
+use blaze_sync::queue::ArrayQueue;
 use blaze_sync::Backoff;
 
 use blaze_types::{PageId, MAX_MERGED_PAGES, PAGE_SIZE};
+
+use crate::flight::PageFrame;
 
 /// A reusable IO buffer large enough for one merged request.
 #[derive(Debug)]
@@ -57,36 +66,103 @@ impl Default for IoBuffer {
     }
 }
 
-/// A filled buffer travelling from an IO thread to a scatter thread: the
-/// buffer plus the global ids of the pages it holds, in order.
+/// Where a [`PageBatch`]'s bytes live.
 #[derive(Debug)]
-pub struct FilledBuffer {
-    /// The buffer holding the page data.
-    pub buffer: IoBuffer,
-    /// Global page ids of the pages in `buffer`, in frame order. Device
-    /// reads produce consecutive *local* pages of one device (globally
-    /// strided by the device count); buffers packed from page-cache hits
-    /// may hold any ascending set of that device's pages. Consumers must
-    /// only rely on `pages[i]` describing frame `i` — never on contiguity.
-    pub pages: Vec<PageId>,
+enum PageData {
+    /// Consecutive pages of one pool buffer: a device read.
+    Buffer(IoBuffer),
+    /// One shared frame per page: cache hits and flight joins, handed over
+    /// by reference.
+    Frames(Vec<PageFrame>),
 }
 
-impl FilledBuffer {
-    /// Page data for the `i`-th page in this buffer.
-    pub fn page_data(&self, i: usize) -> &[u8] {
-        &self.buffer.data[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]
+/// The one thing scatter consumes: a run of pages travelling from an IO
+/// thread to a scatter thread, either in a pool buffer the IO thread read
+/// into or as shared frames that are already resident.
+///
+/// `page_id(i)` describes `page_data(i)`; consumers must never rely on the
+/// pages being contiguous (a device read holds consecutive *local* pages
+/// of one device, globally strided by the device count; a frame batch may
+/// hold any ascending set of that device's pages).
+#[derive(Debug)]
+pub struct PageBatch {
+    pages: Vec<PageId>,
+    data: PageData,
+}
+
+impl PageBatch {
+    /// A device read: `buffer`'s first `pages.len()` pages hold `pages`.
+    pub fn owned(buffer: IoBuffer, pages: Vec<PageId>) -> Self {
+        debug_assert!(pages.len() <= buffer.capacity_pages());
+        Self {
+            pages,
+            data: PageData::Buffer(buffer),
+        }
+    }
+
+    /// Resident pages by reference: `frames[i]` holds `pages[i]`.
+    pub fn shared(frames: Vec<PageFrame>, pages: Vec<PageId>) -> Self {
+        debug_assert_eq!(frames.len(), pages.len());
+        Self {
+            pages,
+            data: PageData::Frames(frames),
+        }
     }
 
     /// Number of pages held.
     pub fn num_pages(&self) -> usize {
         self.pages.len()
     }
+
+    /// Global id of the `i`-th page.
+    pub fn page_id(&self, i: usize) -> PageId {
+        self.pages[i]
+    }
+
+    /// The `PAGE_SIZE` bytes of the `i`-th page.
+    pub fn page_data(&self, i: usize) -> &[u8] {
+        match &self.data {
+            PageData::Buffer(buffer) => &buffer.data[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
+            PageData::Frames(frames) => &frames[i],
+        }
+    }
+
+    /// Hints that the `i`-th page is about to be read; out of range is a
+    /// no-op. A pool buffer was just filled and is warm, but shared frames
+    /// lie scattered over the heap and were last touched, if ever, by
+    /// another thread. Scatter asks for page `i + 1` while it decodes page
+    /// `i`, so those misses overlap with work instead of stalling it —
+    /// what the copy into a pool buffer used to do as a side effect.
+    pub fn prefetch(&self, i: usize) {
+        if let PageData::Frames(frames) = &self.data {
+            if let Some(frame) = frames.get(i) {
+                prefetch_lines(frame);
+            }
+        }
+    }
 }
+
+#[cfg(target_arch = "x86_64")]
+fn prefetch_lines(bytes: &[u8]) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+    for line in bytes.chunks(64) {
+        // SAFETY: a prefetch is a hint that never faults and reads nothing
+        // architecturally; `line` points into `bytes`, and SSE is part of
+        // the x86_64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T1>(line.as_ptr().cast()) };
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn prefetch_lines(_bytes: &[u8]) {}
 
 /// The free/filled MPMC buffer queues shared by IO and scatter threads.
 pub struct BufferPool {
     free: ArrayQueue<IoBuffer>,
-    filled: SegQueue<FilledBuffer>,
+    /// Bounded at `capacity` batches: every buffer batch fits by
+    /// construction, and frame batches (at most `pages_per_buffer` frames
+    /// each, by the producers' contract) wait for room.
+    filled: ArrayQueue<PageBatch>,
     capacity: usize,
     pages_per_buffer: usize,
 }
@@ -112,7 +188,7 @@ impl BufferPool {
         }
         Self {
             free,
-            filled: SegQueue::new(),
+            filled: ArrayQueue::new(capacity),
             capacity,
             pages_per_buffer,
         }
@@ -156,35 +232,49 @@ impl BufferPool {
         }
     }
 
-    /// Returns a drained buffer to the free queue (Figure 5, step 7).
+    /// Returns a buffer that never became a batch (a failed read, a drain
+    /// after an error) to the free queue.
     pub fn release(&self, buffer: IoBuffer) {
         // The pool created every buffer, so the queue can never overflow.
         let _ = self.free.push(buffer);
     }
 
-    /// Publishes a filled buffer for scatter threads (step 4).
-    pub fn push_filled(&self, filled: FilledBuffer) {
-        self.filled.push(filled);
+    /// Publishes a batch for scatter threads (step 4), backing off while
+    /// the filled queue is at its bound. Only scatter makes room, and it
+    /// never waits on the caller, so the wait always ends.
+    pub fn push_filled(&self, mut batch: PageBatch) {
+        let backoff = Backoff::new();
+        while let Err(rejected) = self.filled.push(batch) {
+            batch = rejected;
+            backoff.snooze();
+        }
     }
 
-    /// Takes the next filled buffer, if any (step 5).
-    pub fn pop_filled(&self) -> Option<FilledBuffer> {
+    /// Takes the next batch, if any (step 5).
+    pub fn pop_filled(&self) -> Option<PageBatch> {
         self.filled.pop()
     }
 
-    /// Number of buffers currently waiting in the filled queue.
+    /// Number of batches currently waiting in the filled queue.
     pub fn filled_len(&self) -> usize {
         self.filled.len()
     }
 
+    /// Takes back a batch scatter is done with (step 7): its buffer, if it
+    /// has one, returns to the free queue; shared frames are just dropped.
+    pub fn finish(&self, batch: PageBatch) {
+        if let PageData::Buffer(buffer) = batch.data {
+            self.release(buffer);
+        }
+    }
+
     /// Restores the pool to its freshly-constructed state so it can be
-    /// recycled into a later job: any buffers stranded in the filled queue
-    /// (e.g. after an IO error aborted scatter early) move back to the free
-    /// queue. Must only be called while no IO or scatter thread is using
-    /// the pool.
+    /// recycled into a later job: any batches stranded in the filled queue
+    /// (e.g. after an IO error aborted scatter early) are taken back. Must
+    /// only be called while no IO or scatter thread is using the pool.
     pub fn recycle(&self) {
-        while let Some(filled) = self.filled.pop() {
-            self.release(filled.buffer);
+        while let Some(batch) = self.filled.pop() {
+            self.finish(batch);
         }
     }
 
@@ -237,26 +327,71 @@ mod tests {
         let mut buf = pool.try_acquire_free().unwrap();
         buf.pages_mut(2)[0] = 0xAB;
         buf.pages_mut(2)[PAGE_SIZE] = 0xCD;
-        pool.push_filled(FilledBuffer {
-            buffer: buf,
-            pages: vec![10, 14],
-        });
+        pool.push_filled(PageBatch::owned(buf, vec![10, 14]));
         let filled = pool.pop_filled().unwrap();
         assert_eq!(filled.num_pages(), 2);
-        assert_eq!(filled.pages, vec![10, 14]);
+        assert_eq!((filled.page_id(0), filled.page_id(1)), (10, 14));
         assert_eq!(filled.page_data(0)[0], 0xAB);
         assert_eq!(filled.page_data(1)[0], 0xCD);
-        pool.release(filled.buffer);
+        pool.finish(filled);
+        assert!(pool.is_intact());
+    }
+
+    #[test]
+    fn frame_batches_take_no_buffer_and_share_the_frames() {
+        let pool = BufferPool::new(1);
+        let frame: PageFrame = vec![0xEEu8; PAGE_SIZE].into();
+        pool.push_filled(PageBatch::shared(vec![frame.clone()], vec![7]));
+        assert!(pool.is_intact(), "a frame batch holds no pool buffer");
+        let batch = pool.pop_filled().unwrap();
+        assert_eq!((batch.num_pages(), batch.page_id(0)), (1, 7));
+        assert_eq!(
+            batch.page_data(0).as_ptr(),
+            frame.as_ptr(),
+            "the page is the frame itself, not a copy"
+        );
+        // A hint only: in range or past the end, nothing observable.
+        batch.prefetch(0);
+        batch.prefetch(1);
+        pool.finish(batch);
+        assert!(pool.is_intact());
+    }
+
+    #[test]
+    fn filled_queue_bounds_frame_batches_at_pool_capacity() {
+        // Two buffers -> at most two batches queued, buffers or not: the
+        // third push waits until scatter pops one.
+        let pool = blaze_sync::Arc::new(BufferPool::new(2));
+        let frame: PageFrame = vec![0u8; PAGE_SIZE].into();
+        let batch = |page| PageBatch::shared(vec![frame.clone()], vec![page]);
+        pool.push_filled(batch(0));
+        pool.push_filled(batch(1));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let producer = {
+            let (pool, third) = (pool.clone(), batch(2));
+            std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                pool.push_filled(third);
+            })
+        };
+        started_rx.recv().unwrap();
+        // However long the producer has been trying, the bound holds.
+        for _ in 0..1000 {
+            assert!(pool.filled_len() <= 2);
+            std::thread::yield_now();
+        }
+        assert!(!producer.is_finished(), "a full queue must hold the push");
+        assert_eq!(pool.pop_filled().unwrap().page_id(0), 0);
+        producer.join().unwrap();
+        assert_eq!(pool.pop_filled().unwrap().page_id(0), 1);
+        assert_eq!(pool.pop_filled().unwrap().page_id(0), 2);
     }
 
     #[test]
     fn recycle_drains_stranded_filled_buffers() {
         let pool = BufferPool::new(2);
         let buf = pool.try_acquire_free().unwrap();
-        pool.push_filled(FilledBuffer {
-            buffer: buf,
-            pages: vec![3],
-        });
+        pool.push_filled(PageBatch::owned(buf, vec![3]));
         assert!(!pool.is_intact());
         pool.recycle();
         assert!(pool.is_intact());
@@ -279,17 +414,14 @@ mod tests {
             for i in 0..64u64 {
                 let mut buf = producer_pool.acquire_free();
                 buf.pages_mut(1)[0] = i as u8;
-                producer_pool.push_filled(FilledBuffer {
-                    buffer: buf,
-                    pages: vec![i],
-                });
+                producer_pool.push_filled(PageBatch::owned(buf, vec![i]));
             }
         });
         let mut seen = Vec::new();
         while seen.len() < 64 {
             if let Some(f) = pool.pop_filled() {
-                seen.push(f.pages[0]);
-                pool.release(f.buffer);
+                seen.push(f.page_id(0));
+                pool.finish(f);
             } else {
                 std::thread::yield_now();
             }

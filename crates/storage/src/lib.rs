@@ -41,11 +41,9 @@ pub mod request;
 pub mod sim;
 pub mod stats;
 pub mod stripe;
-#[cfg(feature = "io-uring")]
-pub mod uring;
 
 pub use backend::{Completion, IoBackend, IoBackendKind, SyncBackend, ThreadedBackend};
-pub use buffer::{BufferPool, FilledBuffer, IoBuffer};
+pub use buffer::{BufferPool, IoBuffer, PageBatch};
 pub use cache::{CacheStats, InsertOutcome, PageCache};
 pub use device::BlockDevice;
 pub use faulty::FaultyDevice;
@@ -58,5 +56,3 @@ pub use request::{merge_pages, IoRequest};
 pub use sim::SimDevice;
 pub use stats::{IoStats, JobIoStats};
 pub use stripe::StripedStorage;
-#[cfg(feature = "io-uring")]
-pub use uring::UringBackend;
