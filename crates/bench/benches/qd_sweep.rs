@@ -1,28 +1,76 @@
 //! Queue-depth sweep: modeled device bandwidth of sk2005 PageRank as the
 //! IO backend's per-device window grows.
 //!
-//! Every run uses the threaded backend over queue-depth-aware simulated
-//! devices, so the service model prices each request with the in-flight
-//! depth at submission (`DeviceProfile::read_service_ns_at_depth`): the
-//! fixed device latency is shared by the requests overlapping it, while
-//! the transfer term never overlaps. A deeper window therefore drives the
-//! modeled bandwidth up — the QD→bandwidth behaviour behind the paper's
-//! claim that graph engines must keep fast SSDs saturated — and the sweep
-//! asserts the curve is monotonically non-decreasing.
+//! Every run reads queue-depth-aware simulated devices, so the service
+//! model prices each request with the in-flight depth at submission
+//! (`DeviceProfile::read_service_ns_at_depth`): the fixed device latency is
+//! shared by the requests overlapping it, while the transfer term never
+//! overlaps. A deeper window therefore drives the modeled bandwidth up —
+//! the QD→bandwidth behaviour behind the paper's claim that graph engines
+//! must keep fast SSDs saturated — and the sweep asserts the curve is
+//! monotonically non-decreasing.
+//!
+//! The engine opens its window only on a device that takes real time to
+//! answer, and a simulated device over memory does not, so each one is
+//! wrapped in a `SlowDevice` that sleeps 50 µs a read, and the run starts
+//! with untimed scans until the window is open. The `wall s` column is
+//! therefore a measurement too: the same PageRank with the sleeps
+//! overlapped.
+//!
+//! At depth 1 the engine reads through the published one-at-a-time path,
+//! which a simulated device prices by its sequential-cursor heuristic
+//! instead; `PricedAtDepth` routes those reads to the depth-aware entry
+//! point at depth 1, so that every row of the sweep is priced by the same
+//! model and only the depth differs.
 
 use blaze_algorithms::{pagerank_delta, ExecMode, PageRankConfig};
 use blaze_bench::datasets::{prepare, scale_from_env};
 use blaze_bench::report::{print_table, write_csv};
 use blaze_core::{BlazeEngine, EngineOptions};
+use blaze_frontier::VertexSubset;
 use blaze_graph::{Dataset, DiskGraph};
 use blaze_storage::{
-    BlockDevice, DeviceProfile, IoBackendKind, MemDevice, SimDevice, StripedStorage,
+    BlockDevice, DeviceProfile, IoStats, MemDevice, SimDevice, SlowDevice, StripedStorage,
 };
+use blaze_types::PAGE_SIZE;
 use std::sync::Arc;
+use std::time::Duration;
 
 const ITERS: usize = 3;
 const DEVICES: usize = 2;
 const DEPTHS: [usize; 4] = [1, 4, 16, 32];
+
+/// Prices a plain read as a depth-aware read at depth 1 (see the module
+/// docs); everything else goes to the wrapped device as it is.
+struct PricedAtDepth<D>(D);
+
+impl<D: BlockDevice> BlockDevice for PricedAtDepth<D> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> blaze_types::Result<()> {
+        self.0
+            .read_pages_at_depth(offset / PAGE_SIZE as u64, buf, 1)
+    }
+
+    fn read_pages_at_depth(
+        &self,
+        first_page: u64,
+        buf: &mut [u8],
+        depth: u32,
+    ) -> blaze_types::Result<()> {
+        self.0.read_pages_at_depth(first_page, buf, depth)
+    }
+
+    fn write_at(&self, offset: u64, buf: &[u8]) -> blaze_types::Result<()> {
+        self.0.write_at(offset, buf)
+    }
+
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+
+    fn stats(&self) -> &IoStats {
+        self.0.stats()
+    }
+}
 
 struct Sample {
     io_bytes: u64,
@@ -50,14 +98,28 @@ fn run_at_depth(g: &blaze_bench::PreparedGraph, queue_depth: usize) -> Sample {
         .collect();
     let devs: Vec<Arc<dyn BlockDevice>> = sims
         .iter()
-        .map(|s| s.clone() as Arc<dyn BlockDevice>)
+        .map(|s| {
+            let priced = PricedAtDepth(s.clone());
+            Arc::new(SlowDevice::new(priced, Duration::from_micros(50))) as Arc<dyn BlockDevice>
+        })
         .collect();
     let storage = Arc::new(StripedStorage::new(devs).expect("storage"));
     let graph = Arc::new(DiskGraph::create(&g.csr, storage).expect("graph"));
-    let options = EngineOptions::default()
-        .with_io_backend(IoBackendKind::Threaded)
-        .with_queue_depth(queue_depth);
+    let options = EngineOptions::default().with_queue_depth(queue_depth);
     let engine = BlazeEngine::new(graph, options).expect("engine");
+    // The backend wants two windows of slow reads per device before it
+    // opens its window, more than this graph's PageRank issues: scan until
+    // it has, then start the accounts afresh. (Depth 1 never opens one.)
+    let frontier = VertexSubset::full(engine.num_vertices());
+    while queue_depth > 1 && (0..DEVICES).any(|d| engine.io_backend().window(d) == 1) {
+        engine
+            .edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| false, false)
+            .expect("warm-up scan");
+    }
+    let warm = engine.stats();
+    for sim in &sims {
+        sim.stats().reset();
+    }
     let config = PageRankConfig {
         max_iters: ITERS,
         ..Default::default()
@@ -67,7 +129,7 @@ fn run_at_depth(g: &blaze_bench::PreparedGraph, queue_depth: usize) -> Sample {
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = engine.stats();
     Sample {
-        io_bytes: stats.io_bytes,
+        io_bytes: stats.io_bytes - warm.io_bytes,
         busy_ns: sims.iter().map(|s| s.stats().busy_ns()).sum(),
         max_in_flight: stats.io_max_in_flight,
         wall_s,

@@ -61,7 +61,11 @@ pub fn traversal_root(g: &Csr) -> VertexId {
 fn blaze_engine(csr: &Csr, opts: &BenchQueryOptions) -> BlazeEngine {
     let storage = Arc::new(StripedStorage::in_memory(opts.blaze_devices).expect("storage"));
     let graph = Arc::new(DiskGraph::create(csr, storage).expect("disk graph"));
-    let engine_opts = EngineOptions::default().with_compute_workers(opts.blaze_threads.max(2), 0.5);
+    // Depth 1: the paper-figure traces are defined by the published request
+    // stream, one read at a time in submission order.
+    let engine_opts = EngineOptions::default()
+        .with_compute_workers(opts.blaze_threads.max(2), 0.5)
+        .with_queue_depth(1);
     BlazeEngine::new(graph, engine_opts).expect("engine")
 }
 

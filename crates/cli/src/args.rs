@@ -31,10 +31,12 @@ pub struct CliArgs {
     /// Clock page-cache budget in MiB (`-cache-mb`, default 0 = no cache,
     /// matching the published system).
     pub cache_mb: usize,
-    /// Per-device IO queue depth (`-qd`, default 1 = synchronous backend,
-    /// matching the published engine; deeper windows use the threaded
-    /// backend with out-of-order completions).
-    pub queue_depth: usize,
+    /// Cap on the per-device IO window (`-qd`). Absent = the engine's
+    /// default on raw files (`-device none`), which reads inline on a fast
+    /// device and keeps several requests in flight on a slow one, and 1 on
+    /// a simulated device; `-qd 1` = the published engine's request
+    /// stream, one read at a time in submission order.
+    pub queue_depth: Option<usize>,
     /// Enable scatter-side record combining (`-combine`; PageRank only —
     /// same-destination delta records merge in the staging window before
     /// reaching the bins).
@@ -75,7 +77,7 @@ impl Default for CliArgs {
             max_iters: 100,
             jobs: 1,
             cache_mb: 0,
-            queue_depth: 1,
+            queue_depth: None,
             combine: false,
             mode: ExecMode::Binned,
             k: 2,
@@ -162,7 +164,7 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
                 out.cache_mb = parse_count("-cache-mb", it.next(), 0)?;
             }
             "-qd" => {
-                out.queue_depth = parse_count("-qd", it.next(), 1)?;
+                out.queue_depth = Some(parse_count("-qd", it.next(), 1)?);
             }
             "-k" => {
                 out.k = parse_count("-k", it.next(), 1)? as u32;
@@ -285,10 +287,13 @@ mod tests {
     #[test]
     fn parses_queue_depth_flag() {
         let a = parse(&args("-qd 32 g.gr.index g.gr.adj.0")).unwrap();
-        assert_eq!(a.queue_depth, 32);
+        assert_eq!(a.queue_depth, Some(32));
+        let a = parse(&args("-qd 1 g.gr.index g.gr.adj.0")).unwrap();
+        assert_eq!(a.queue_depth, Some(1), "the published stream is asked for");
         assert_eq!(
             parse(&args("g.gr.index g.gr.adj.0")).unwrap().queue_depth,
-            1
+            None,
+            "absent leaves the engine's default"
         );
         assert!(parse(&args("-qd 0 g.gr.index g.gr.adj.0")).is_err());
         assert!(parse(&args("-qd x g.gr.index g.gr.adj.0")).is_err());

@@ -11,9 +11,13 @@
 //! `-cache-mb N` gives the IO workers a clock page cache of N MiB
 //! (default 0, i.e. no cache — matching the published system).
 //!
-//! `-qd N` sets the per-device IO queue depth (default 1, the published
-//! engine's synchronous backend; deeper windows switch to the threaded
-//! backend and keep up to N requests in flight per device).
+//! `-qd N` caps the per-device IO window. Without it the engine adapts to
+//! the device: reads are issued one at a time while they return faster than
+//! a hand-off to another thread costs (files in the page cache), and up to
+//! sixteen stay in flight once they do not (an SSD). `-qd 1` pins the
+//! published engine's stream: one read at a time, in submission order —
+//! which is also what a simulated `-device` gets without the flag, so that
+//! its modeled time depends on the input alone.
 //!
 //! `-mode binned|sync|async` picks the execution mode; `async` drops the
 //! per-iteration barrier and drains a priority frontier bucketed by BFS

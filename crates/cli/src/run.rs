@@ -7,6 +7,7 @@ use blaze_binning::BinningConfig;
 use blaze_core::{BlazeEngine, EngineOptions};
 use blaze_graph::{DiskGraph, GraphBuilder};
 use blaze_scaleout::Cluster;
+use blaze_storage::stats::LATENCY_BUCKET_UPPER_NS;
 use blaze_storage::{BlockDevice, DeviceProfile, FileDevice, SimDevice, StripedStorage};
 use blaze_types::{BlazeError, Result};
 
@@ -52,8 +53,16 @@ fn open_storage(adj: &[PathBuf], device: &str) -> Result<Arc<StripedStorage>> {
 fn engine_options(args: &CliArgs, storage_bytes: u64) -> Result<EngineOptions> {
     let mut options = EngineOptions::default()
         .with_compute_workers(args.compute_workers.max(2), args.binning_ratio)
-        .with_cache_bytes(args.cache_mb << 20)
-        .with_queue_depth(args.queue_depth);
+        .with_cache_bytes(args.cache_mb << 20);
+    // A simulated device prices a read made inline by its sequential cursor
+    // and a read made in a deep window by its depth, and which of the two a
+    // file gets would depend on how fast the host returned it: without
+    // `-qd`, a modeled run is the published depth-1 stream, so its
+    // `modeled device time` is a function of the input alone.
+    let modeled = profile_for(&args.device)?.is_some();
+    if let Some(depth) = args.queue_depth.or(modeled.then_some(1)) {
+        options = options.with_queue_depth(depth);
+    }
     if args.jobs > 1 && !args.no_share {
         // Concurrent identical queries scan the same pages; coalesce their
         // misses so N jobs cost ~1 job of device IO. One IO lane per job
@@ -120,6 +129,33 @@ pub fn open_cluster(args: &CliArgs, index: &Path, adj: &[PathBuf]) -> Result<Clu
     )
 }
 
+/// The bucket of the service-time histogram that holds the `quantile`-th
+/// request, as the bound it lies under (`<64 us`; the last bucket is open:
+/// `>=16 ms`). `-` without a sample.
+fn latency_bucket_label(buckets: &[u64], quantile: f64) -> String {
+    let total: u64 = buckets.iter().sum();
+    let rank = (total as f64 * quantile).ceil().max(1.0) as u64;
+    let mut seen = 0;
+    let Some(index) = buckets.iter().position(|&count| {
+        seen += count;
+        seen >= rank
+    }) else {
+        return "-".to_string();
+    };
+    let bound = |ns: u64| match ns {
+        1_000_000.. => format!("{} ms", ns / 1_000_000),
+        _ => format!("{} us", ns / 1_000),
+    };
+    match LATENCY_BUCKET_UPPER_NS.get(index) {
+        Some(&upper) => format!("<{}", bound(upper)),
+        // The open bucket starts where the one before it ends.
+        None => format!(
+            ">={}",
+            bound(LATENCY_BUCKET_UPPER_NS[LATENCY_BUCKET_UPPER_NS.len() - 1])
+        ),
+    }
+}
+
 /// Prints the post-run summary every binary emits.
 pub fn print_run_summary(query: &str, engine: &BlazeEngine, wall: std::time::Duration) {
     let stats = engine.stats();
@@ -138,11 +174,14 @@ pub fn print_run_summary(query: &str, engine: &BlazeEngine, wall: std::time::Dur
         "io: {} bytes in {} requests",
         stats.io_bytes, stats.io_requests
     );
-    if engine.options().queue_depth > 1 {
+    if stats.io_requests > 0 {
         println!(
-            "io queue: depth {} requested, {} max in flight",
+            "io queue: depth cap {}, {} max / {:.2} mean in flight, service time p50 {} p99 {}",
             engine.options().queue_depth,
-            stats.io_max_in_flight
+            stats.io_max_in_flight,
+            stats.io_mean_in_flight(),
+            latency_bucket_label(&stats.io_latency_buckets, 0.50),
+            latency_bucket_label(&stats.io_latency_buckets, 0.99),
         );
     }
     if let Some(cache) = engine.page_cache() {
@@ -284,22 +323,54 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_flag_selects_threaded_backend() {
-        use blaze_storage::IoBackendKind;
+    fn queue_depth_flag_caps_the_window_and_absent_follows_the_engine() {
         let g = rmat(&RmatConfig::new(6));
         let dir = tempfile::tempdir().unwrap();
         let (index, adj) = save_files(&g, dir.path(), "t.gr", 2).unwrap();
         let args = CliArgs {
-            queue_depth: 16,
+            queue_depth: Some(16),
             ..Default::default()
         };
         let engine = open_engine(&args, &index, &adj).unwrap();
         assert_eq!(engine.options().queue_depth, 16);
-        assert_eq!(engine.options().io_backend, IoBackendKind::Threaded);
         assert_eq!(engine.io_backend().queue_depth(), 16);
-        let default = open_engine(&CliArgs::default(), &index, &adj).unwrap();
-        assert_eq!(default.options().io_backend, IoBackendKind::Sync);
-        assert_eq!(default.io_backend().queue_depth(), 1);
+        // No flag on raw files follows the engine, which overlaps reads.
+        let raw = CliArgs {
+            device: "none".to_string(),
+            ..Default::default()
+        };
+        let default = open_engine(&raw, &index, &adj).unwrap();
+        let engine_default = EngineOptions::default().queue_depth;
+        assert_eq!(default.options().queue_depth, engine_default);
+        assert_eq!(default.io_backend().queue_depth(), engine_default);
+        assert!(engine_default > 1, "no flag must not pin the depth-1 path");
+        // No flag on a simulated device is the published stream: the
+        // modeled time must not depend on which mode the host's timing
+        // picked. The flag still overrides.
+        let modeled = open_engine(&CliArgs::default(), &index, &adj).unwrap();
+        assert_eq!(modeled.io_backend().queue_depth(), 1);
+        let pinned = CliArgs {
+            queue_depth: Some(1),
+            ..Default::default()
+        };
+        let engine = open_engine(&pinned, &index, &adj).unwrap();
+        assert_eq!(engine.io_backend().queue_depth(), 1);
+        assert_eq!(engine.io_backend().window(0), 1);
+    }
+
+    #[test]
+    fn latency_buckets_print_as_ranges() {
+        // 90 reads under 4 µs, 9 in 64-256 µs, 1 in 1-4 ms.
+        let buckets = [90, 0, 0, 9, 0, 1, 0, 0];
+        assert_eq!(latency_bucket_label(&buckets, 0.50), "<4 us");
+        assert_eq!(latency_bucket_label(&buckets, 0.95), "<256 us");
+        assert_eq!(latency_bucket_label(&buckets, 0.99), "<256 us");
+        assert_eq!(latency_bucket_label(&buckets, 1.0), "<4 ms");
+        assert_eq!(
+            latency_bucket_label(&[0, 0, 0, 0, 0, 0, 0, 3], 0.5),
+            ">=16 ms"
+        );
+        assert_eq!(latency_bucket_label(&[0; 8], 0.5), "-", "no sample");
     }
 
     #[test]

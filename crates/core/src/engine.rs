@@ -20,7 +20,9 @@ use blaze_sync::Mutex;
 use blaze_binning::{BinSpace, BinValue, BinningConfig, ScatterStaging};
 use blaze_frontier::{PageSubset, PriorityFrontier, PrioritySnapshot, VertexSubset};
 use blaze_graph::DiskGraph;
-use blaze_storage::{BufferPool, FlightTable, IoBackend, JobIoStats, PageCache};
+use blaze_storage::{
+    BufferPool, FlightTable, IoBackend, JobIoStats, PageCache, SyncBackend, ThreadedBackend,
+};
 use blaze_types::{BlazeError, IterationTrace, Result, VertexId};
 
 use crate::arena::EngineArena;
@@ -107,13 +109,19 @@ impl BlazeEngine {
                 c.set_hot_region(graph.pagemap().hot_pages(), options.cache_hot_fraction);
                 c
             });
-        let backends = (0..io_lanes)
-            .map(|_| {
-                options
-                    .io_backend
-                    .build(graph.storage().clone(), options.queue_depth)
-            })
-            .collect();
+        // Depth 1 is the published stream: strictly inline, in submission
+        // order. Any deeper cap gets the adaptive backend, whose lanes share
+        // one helper pool and one view of how fast each device is.
+        let backends: Vec<Arc<dyn IoBackend>> = if options.queue_depth == 1 {
+            (0..io_lanes)
+                .map(|_| Arc::new(SyncBackend::new(graph.storage().clone())) as _)
+                .collect()
+        } else {
+            ThreadedBackend::lanes(graph.storage().clone(), options.queue_depth, io_lanes)
+                .into_iter()
+                .map(|lane| Arc::new(lane) as _)
+                .collect()
+        };
         let flights = options
             .scan_sharing
             .then(|| FlightTable::new(graph.storage().num_devices(), options.scan_share_retain));

@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use blaze_binning::BinningConfig;
-use blaze_storage::IoBackendKind;
+use blaze_storage::DEFAULT_QUEUE_DEPTH;
 use blaze_types::{
     BlazeError, Result, DEFAULT_IO_BUFFER_BYTES, DEFAULT_VERTEX_MAP_GRAIN, MAX_MERGED_PAGES,
 };
@@ -47,16 +47,13 @@ pub struct EngineOptions {
     /// simply allocate fresh arenas (returned ones beyond the cap are
     /// dropped).
     pub max_idle_arenas: usize,
-    /// Which IO backend the engine constructs. The default
-    /// [`IoBackendKind::Sync`] issues depth-1 blocking reads whose device
-    /// traffic is byte-for-byte the published engine's;
-    /// [`IoBackendKind::Threaded`] keeps up to [`queue_depth`] requests in
-    /// flight per device with out-of-order completions.
-    ///
-    /// [`queue_depth`]: Self::queue_depth
-    pub io_backend: IoBackendKind,
-    /// Per-device in-flight request window of the IO backend (the CLI's
-    /// `-qd`). Must be 1 for the synchronous backend.
+    /// Cap on the per-device in-flight request window (the CLI's `-qd`).
+    /// The default, [`DEFAULT_QUEUE_DEPTH`], lets the IO backend adapt to
+    /// the device: it reads inline, one request at a time, while the device
+    /// answers faster than a hand-off to another thread costs, and keeps up
+    /// to this many requests in flight once it does not. 1 pins the
+    /// synchronous backend: strictly inline and in submission order,
+    /// byte-for-byte the published engine's device traffic.
     pub queue_depth: usize,
     /// Per-thread grain of the in-memory vertex-map phase: a frontier with
     /// fewer than `vertex_map_grain * compute_workers` members runs
@@ -103,8 +100,7 @@ impl Default for EngineOptions {
             cache_hot_fraction: 0.5,
             record_trace: true,
             max_idle_arenas: 2,
-            io_backend: IoBackendKind::Sync,
-            queue_depth: 1,
+            queue_depth: DEFAULT_QUEUE_DEPTH,
             vertex_map_grain: DEFAULT_VERTEX_MAP_GRAIN,
             scan_sharing: false,
             scan_share_lanes: 4,
@@ -157,22 +153,11 @@ impl EngineOptions {
         self
     }
 
-    /// Sets the per-device IO queue depth (the CLI's `-qd N`). A depth of
-    /// 1 keeps the default synchronous backend; any deeper window switches
-    /// to the threaded backend, which is the only one that can hold
-    /// multiple requests in flight.
+    /// Caps the per-device IO window (the CLI's `-qd N`, clamped to ≥ 1).
+    /// 1 reproduces the published request stream exactly; see
+    /// [`queue_depth`](Self::queue_depth).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        if self.queue_depth > 1 {
-            self.io_backend = IoBackendKind::Threaded;
-        }
-        self
-    }
-
-    /// Overrides the IO backend kind explicitly (e.g. the threaded backend
-    /// at queue depth 1, for backend-equivalence tests and QD sweeps).
-    pub fn with_io_backend(mut self, kind: IoBackendKind) -> Self {
-        self.io_backend = kind;
         self
     }
 
@@ -223,7 +208,7 @@ impl EngineOptions {
         self.num_scatter + self.num_gather
     }
 
-    /// Validates thread counts and the IO backend configuration.
+    /// Validates thread counts and the other numeric options.
     pub fn validate(&self) -> Result<()> {
         if self.num_scatter == 0 || self.num_gather == 0 {
             return Err(BlazeError::Config(
@@ -253,13 +238,6 @@ impl EngineOptions {
         }
         if self.scan_share_lanes == 0 {
             return Err(BlazeError::Config("scan_share_lanes must be >= 1".into()));
-        }
-        if self.io_backend == IoBackendKind::Sync && self.queue_depth > 1 {
-            return Err(BlazeError::Config(format!(
-                "the synchronous IO backend is depth-1; use the threaded \
-                 backend for queue_depth {} (-qd > 1)",
-                self.queue_depth
-            )));
         }
         Ok(())
     }
@@ -302,33 +280,22 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_selects_backend() {
+    fn queue_depth_defaults_clamps_and_validates() {
         let o = EngineOptions::default();
-        assert_eq!(o.io_backend, IoBackendKind::Sync);
-        assert_eq!(o.queue_depth, 1);
-        let o = EngineOptions::default().with_queue_depth(1);
-        assert_eq!(o.io_backend, IoBackendKind::Sync, "qd 1 stays sync");
+        assert_eq!(o.queue_depth, DEFAULT_QUEUE_DEPTH);
+        assert!(o.queue_depth > 1, "the default overlaps IO");
+        assert_eq!(EngineOptions::default().with_queue_depth(1).queue_depth, 1);
         let o = EngineOptions::default().with_queue_depth(16);
-        assert_eq!(o.io_backend, IoBackendKind::Threaded);
         assert_eq!(o.queue_depth, 16);
-        assert!(o.validate().is_ok());
-        // Explicit threaded backend at depth 1 is allowed (QD sweeps).
-        let o = EngineOptions::default().with_io_backend(IoBackendKind::Threaded);
-        assert_eq!(o.queue_depth, 1);
         assert!(o.validate().is_ok());
         // Zero clamps rather than erroring through the builder...
         assert_eq!(EngineOptions::default().with_queue_depth(0).queue_depth, 1);
-        // ...but a hand-built invalid combination is rejected.
+        // ...but a hand-built zero is rejected.
         let o = EngineOptions {
             queue_depth: 0,
             ..Default::default()
         };
         assert!(o.validate().is_err());
-        let o = EngineOptions {
-            queue_depth: 4,
-            ..Default::default()
-        };
-        assert!(o.validate().is_err(), "sync backend cannot hold qd 4");
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //! concurrently while any single job still sees the one-pumper-per-device
 //! contract the IO backends rely on: a (job, device) pair is always
 //! served by exactly one worker, and backend submit/reap calls remain
-//! per-device single-threaded *per job*. Backends that keep per-device
-//! state across calls ([`ThreadedBackend`]'s completion queues are keyed
-//! by device and MPMC) tolerate interleaved pumpers by construction;
-//! the flight table then dedupes the overlapping reads the lanes expose.
+//! per-device single-threaded *per job*. The engine gives each lane its
+//! own backend instance (the lanes of a [`ThreadedBackend`] share one
+//! helper pool and one view of how fast each device is, but each reaps
+//! its own completions); the flight table then dedupes the overlapping
+//! reads the lanes expose.
 //!
 //! [`ThreadedBackend`]: blaze_storage::ThreadedBackend
 //!

@@ -43,6 +43,12 @@ pub struct ExecStats {
     /// iterations (1 under the synchronous backend; 0 when no IO was
     /// issued).
     pub io_max_in_flight: u64,
+    /// Sum over all IO requests of the in-flight depth at their submission
+    /// (see [`io_mean_in_flight`](Self::io_mean_in_flight)).
+    pub io_in_flight_sum: f64,
+    /// Per-request device service-time histogram over all iterations
+    /// (log-scale buckets, `blaze_storage::stats::LATENCY_BUCKETS`).
+    pub io_latency_buckets: Vec<u64>,
     /// Nanoseconds scatter workers spent decoding pages and staging
     /// records, summed across workers and iterations.
     pub scatter_ns: u64,
@@ -64,6 +70,17 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
+    /// Mean per-device in-flight depth over all IO requests, sampled at
+    /// each submission: 1.0 when every read was issued alone, up to the
+    /// queue depth when the window was kept full. 0.0 without IO.
+    pub fn io_mean_in_flight(&self) -> f64 {
+        if self.io_requests == 0 {
+            0.0
+        } else {
+            self.io_in_flight_sum / self.io_requests as f64
+        }
+    }
+
     /// Folds one iteration trace into the totals.
     pub fn absorb(&mut self, it: &IterationTrace, wall_ns: u64) {
         self.iterations += 1;
@@ -81,6 +98,19 @@ impl ExecStats {
         self.shared_bytes += it.shared_bytes;
         self.flights_led += it.flights_led;
         self.io_max_in_flight = self.io_max_in_flight.max(it.io_max_in_flight);
+        self.io_in_flight_sum += it.io_mean_in_flight * it.total_io_requests() as f64;
+        let buckets = self
+            .io_latency_buckets
+            .len()
+            .max(it.io_latency_buckets.len());
+        self.io_latency_buckets.resize(buckets, 0);
+        for (total, count) in self
+            .io_latency_buckets
+            .iter_mut()
+            .zip(&it.io_latency_buckets)
+        {
+            *total += count;
+        }
         self.scatter_ns += it.scatter_ns;
         self.gather_ns += it.gather_ns;
         self.io_wait_ns += it.io_wait_ns;
@@ -194,9 +224,33 @@ mod tests {
     }
 
     #[test]
+    fn absorb_weights_the_in_flight_mean_and_sums_the_histogram() {
+        let mut s = ExecStats::default();
+        assert_eq!(s.io_mean_in_flight(), 0.0);
+        let mut inline = IterationTrace::new(1);
+        inline.io_requests_per_device = vec![30];
+        inline.io_mean_in_flight = 1.0;
+        inline.io_latency_buckets = vec![30, 0, 0];
+        let mut deep = IterationTrace::new(1);
+        deep.io_requests_per_device = vec![10];
+        deep.io_mean_in_flight = 5.0;
+        deep.io_latency_buckets = vec![0, 4, 6];
+        s.absorb(&inline, 0);
+        s.absorb(&deep, 0);
+        assert!((s.io_mean_in_flight() - 2.0).abs() < 1e-12);
+        assert_eq!(s.io_latency_buckets, vec![30, 4, 6]);
+    }
+
+    #[test]
     fn job_trace_carries_cache_totals() {
         let j = JobIoStats::new(2);
-        j.record_read(0, 0, 2);
+        j.record_read(
+            0,
+            blaze_storage::IoRequest {
+                first_page: 0,
+                num_pages: 2,
+            },
+        );
         j.record_cache_hits(1, 5);
         j.record_cache_misses(0, 2);
         j.record_cache_evictions(0, 1);

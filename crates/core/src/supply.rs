@@ -206,8 +206,9 @@ impl PageSupply<'_> {
     /// submitting but keeps reaping until the queue drains, so no buffer is
     /// lost and the pool stays intact — first error wins.
     ///
-    /// The window is the backend's queue depth, capped at this device's
-    /// share of the pool: every in-flight request owns a buffer until it is
+    /// The window is what the backend asks for (1 while it reads inline, its
+    /// queue depth once the device is slow), capped at this device's share
+    /// of the pool: every in-flight request owns a buffer until it is
     /// reaped, so a window the pool cannot cover would leave the pump
     /// waiting for a free buffer with its own completions unreaped. With
     /// the cap, a pump short of a buffer is below its window, so some
@@ -222,18 +223,22 @@ impl PageSupply<'_> {
     /// vector.
     fn read(&self, requests: &[IoRequest], mut leases: Vec<Option<FlightLease>>) -> Result<()> {
         let share = self.pool.capacity() / self.storage.num_devices();
-        let window = self.backend.queue_depth().min(share).max(1);
         let mut next = 0usize;
         let mut in_flight = 0usize;
         let mut first_error: Option<BlazeError> = None;
         while next < requests.len() || in_flight > 0 {
+            // Asked again on every refill: the backend widens the window
+            // when the device turns out slow and narrows it to 1 when it
+            // does not (the first scan of a cold file, then the second).
+            let window = self.backend.window(self.dev).min(share).max(1);
             while first_error.is_none() && in_flight < window && next < requests.len() {
                 let buffer = self.pool.acquire_free();
+                in_flight += 1;
+                self.stats
+                    .record_submit(self.dev, requests[next], in_flight as u64);
                 self.backend
                     .submit(self.dev, requests[next], buffer, next as u64);
                 next += 1;
-                in_flight += 1;
-                self.stats.record_submit(self.dev, in_flight as u64);
             }
             if in_flight == 0 {
                 break;
@@ -264,7 +269,7 @@ impl PageSupply<'_> {
                     }
                     self.pool.release(buffer);
                 }
-                Ok(()) => self.deliver(completion.request.first_page, n, buffer, lease),
+                Ok(()) => self.deliver(completion.request, buffer, lease),
             }
         }
         match first_error {
@@ -273,13 +278,14 @@ impl PageSupply<'_> {
         }
     }
 
-    /// A successful device read of `n` pages from local page `first`:
-    /// admits it to the cache, resolves its flight, and emits the buffer
-    /// itself. Frames are built only if the cache or the flight wants
-    /// them, and both share the same allocations.
-    fn deliver(&self, first: LocalPageId, n: usize, buffer: IoBuffer, lease: Option<FlightLease>) {
-        self.stats.record_read(self.dev, first, n);
-        let pages = self.global_run(first, n);
+    /// A successful device read of `request`: admits it to the cache,
+    /// resolves its flight, and emits the buffer itself. Frames are built
+    /// only if the cache or the flight wants them, and both share the same
+    /// allocations.
+    fn deliver(&self, request: IoRequest, buffer: IoBuffer, lease: Option<FlightLease>) {
+        self.stats.record_read(self.dev, request);
+        let n = request.num_pages as usize;
+        let pages = self.global_run(request.first_page, n);
         if self.cache.is_some() || lease.is_some() {
             let frames = page_frames(&buffer, n);
             if let Some(cache) = self.cache {
@@ -330,8 +336,38 @@ mod tests {
     use blaze_frontier::VertexSubset;
     use blaze_graph::gen::{rmat, uniform, RmatConfig};
     use blaze_graph::DiskGraph;
-    use blaze_storage::{FaultyDevice, MemDevice};
+    use blaze_storage::{BlockDevice, FaultyDevice, MemDevice, SlowDevice};
     use blaze_sync::Arc;
+    use std::time::Duration;
+
+    /// An engine over `devices` stripe devices that each take at least 50 µs
+    /// a read — slow enough that the adaptive backend opens its window.
+    fn slow_engine(g: &blaze_graph::Csr, devices: usize, options: EngineOptions) -> BlazeEngine {
+        let devs = (0..devices).map(|_| slow(MemDevice::new())).collect();
+        let storage = Arc::new(StripedStorage::new(devs).unwrap());
+        let graph = Arc::new(DiskGraph::create(g, storage).unwrap());
+        BlazeEngine::new(graph, options).unwrap()
+    }
+
+    fn slow<D: BlockDevice + 'static>(inner: D) -> Arc<dyn BlockDevice> {
+        Arc::new(SlowDevice::new(inner, Duration::from_micros(50)))
+    }
+
+    /// Scans until the backend has seen enough slow reads on every device
+    /// to hand them to its helpers, then clears the traces.
+    fn scan_until_deep(e: &BlazeEngine) {
+        let devices = e.graph().storage().num_devices();
+        let frontier = VertexSubset::full(e.num_vertices());
+        for _ in 0..10_000 {
+            if (0..devices).all(|d| e.io_backend().window(d) > 1) {
+                e.take_traces();
+                return;
+            }
+            e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+                .unwrap();
+        }
+        panic!("the backend never opened its window on a slow device");
+    }
 
     #[test]
     fn page_cache_serves_repeated_iterations() {
@@ -454,21 +490,22 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_bfs_matches_reference() {
-        let g = uniform(9, 8, 7);
+    fn deep_window_bfs_matches_reference() {
+        let g = uniform(12, 16, 7);
         for devices in [1, 4] {
-            let e = engine(&g, devices, EngineOptions::default().with_queue_depth(8));
+            let e = slow_engine(&g, devices, EngineOptions::default());
+            scan_until_deep(&e);
             assert_eq!(bfs_levels_engine(&e, 1, false), bfs_levels_ref(&g, 1));
+            assert!(e.take_traces().iter().any(|t| t.io_max_in_flight > 1));
             // And with the cache in the loop (frame-batch hits + deep queue
-            // on the miss path).
-            let e = engine(
-                &g,
-                devices,
-                EngineOptions::default()
-                    .with_queue_depth(8)
-                    .with_page_cache(64),
-            );
+            // on the miss path): a quarter of the graph, so that the scans
+            // which open the window keep reading the device.
+            let e = slow_engine(&g, devices, EngineOptions::default().with_page_cache(16));
+            scan_until_deep(&e);
             assert_eq!(bfs_levels_engine(&e, 1, false), bfs_levels_ref(&g, 1));
+            let traces = e.take_traces();
+            assert!(traces.iter().any(|t| t.io_max_in_flight > 1));
+            assert!(traces.iter().any(|t| t.cache_hit_pages > 0));
         }
     }
 
@@ -478,8 +515,8 @@ mod tests {
         // requests (4096 vertices × 16 edges ≈ 64 pages ≈ 16 requests).
         let g = uniform(12, 16, 3);
         let frontier = VertexSubset::full(g.num_vertices());
-        // Synchronous backend: exactly one request in flight, ever.
-        let e = engine(&g, 2, EngineOptions::default());
+        // Depth 1: exactly one request in flight, ever.
+        let e = engine(&g, 2, EngineOptions::default().with_queue_depth(1));
         e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
             .unwrap();
         let t = e.take_traces().pop().unwrap();
@@ -491,21 +528,70 @@ mod tests {
             "every request lands in one latency bucket"
         );
         assert_eq!(e.stats().io_max_in_flight, 1);
-        // Threaded backend: the pump fills the window before reaping, so a
-        // scan with enough requests per device must reach the full depth.
-        let e = engine(&g, 1, EngineOptions::default().with_queue_depth(8));
+        // The default on a slow device: once the window is open the pump
+        // fills it before reaping, so a scan with enough requests per
+        // device must reach the full depth.
+        let e = slow_engine(&g, 1, EngineOptions::default());
+        scan_until_deep(&e);
         e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
             .unwrap();
         let t = e.take_traces().pop().unwrap();
-        assert!(t.total_io_requests() >= 8, "scan too small for the window");
-        assert_eq!(t.io_max_in_flight, 8);
+        let depth = e.options().queue_depth as u64;
+        assert!(
+            t.total_io_requests() >= depth,
+            "scan too small for the window"
+        );
+        assert_eq!(t.io_max_in_flight, depth);
         assert!(t.io_mean_in_flight > 1.0);
-        assert!(t.io_mean_in_flight <= 8.0);
+        assert!(t.io_mean_in_flight <= depth as f64);
         assert_eq!(
             t.io_latency_buckets.iter().sum::<u64>(),
             t.total_io_requests()
         );
-        assert_eq!(e.stats().io_max_in_flight, 8);
+        assert_eq!(
+            t.io_latency_buckets[..2].iter().sum::<u64>(),
+            0,
+            "service time is the device's: no read of it is under 16 µs"
+        );
+        assert_eq!(e.stats().io_max_in_flight, depth);
+    }
+
+    #[test]
+    fn sequentiality_is_counted_in_submission_order() {
+        // The same scan and the same BFS read one request at a time and
+        // through a full window of out-of-order completions: bytes,
+        // requests and — what completion-order counting got wrong —
+        // sequential requests per device must agree superstep by superstep.
+        let g = uniform(12, 16, 3);
+        let run = |e: &BlazeEngine| {
+            let frontier = VertexSubset::full(g.num_vertices());
+            e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+                .unwrap();
+            bfs_levels_engine(e, 1, false);
+            e.take_traces()
+        };
+        let inline = engine(&g, 2, EngineOptions::default().with_queue_depth(1));
+        let deep = slow_engine(&g, 2, EngineOptions::default());
+        scan_until_deep(&deep);
+        let (a, b) = (run(&inline), run(&deep));
+        assert_eq!(a.len(), b.len());
+        assert!(b.iter().any(|t| t.io_max_in_flight > 1), "never overlapped");
+        assert!(
+            a.iter()
+                .any(|t| t.io_sequential_requests_per_device.iter().sum::<u64>() > 0),
+            "nothing sequential to count"
+        );
+        for (step, (ta, tb)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(ta.io_bytes_per_device, tb.io_bytes_per_device, "{step}");
+            assert_eq!(
+                ta.io_requests_per_device, tb.io_requests_per_device,
+                "{step}"
+            );
+            assert_eq!(
+                ta.io_sequential_requests_per_device, tb.io_sequential_requests_per_device,
+                "superstep {step}"
+            );
+        }
     }
 
     #[test]
@@ -549,19 +635,16 @@ mod tests {
     }
 
     #[test]
-    fn io_error_under_threaded_backend_drains_and_fails() {
+    fn io_error_in_a_deep_window_drains_and_fails() {
         let g = uniform(12, 16, 3);
-        // Every third read fails: successes and failures interleave in the
-        // completion stream at depth 8, exercising the drain path.
-        let storage = Arc::new(
-            StripedStorage::new(vec![Arc::new(FaultyDevice::fail_every(
-                MemDevice::new(),
-                3,
-            ))])
-            .unwrap(),
-        );
+        let dev = Arc::new(FaultyDevice::fail_every(MemDevice::new(), 0));
+        let storage = Arc::new(StripedStorage::new(vec![slow(dev.clone())]).unwrap());
         let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
-        let e = BlazeEngine::new(graph, EngineOptions::default().with_queue_depth(8)).unwrap();
+        let e = BlazeEngine::new(graph, EngineOptions::default()).unwrap();
+        scan_until_deep(&e);
+        // Every third read fails: successes and failures interleave in the
+        // completion stream of a full window, exercising the drain path.
+        dev.set_fail_every(3);
         let frontier = VertexSubset::full(g.num_vertices());
         let r = e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false);
         assert!(matches!(r, Err(BlazeError::Io(_))), "got {r:?}");
@@ -802,7 +885,7 @@ mod tests {
         // per submission before reaping would wait for a 257th forever.
         let g = rmat(&RmatConfig::new(18));
         let num_edges = g.num_edges();
-        let e = engine(&g, 1, EngineOptions::default().with_queue_depth(300));
+        let e = slow_engine(&g, 1, EngineOptions::default().with_queue_depth(300));
         let (sum, trace) = within_secs(120, move || {
             let sum = edge_sum(&e);
             (sum, e.take_traces().pop().unwrap())
@@ -818,13 +901,15 @@ mod tests {
         // is its share of the pool (2) and hits take no buffer. The cache
         // never evicts here, so what hits is exact: priming vertex 0 makes
         // the first full scan a mix of hits and misses, the second all hits.
-        let g = rmat(&RmatConfig::new(12));
+        // Big enough (256 requests a device) that the backend opens its
+        // window part-way through the first full scan.
+        let g = rmat(&RmatConfig::new(17));
         let (n, num_edges) = (g.num_vertices(), g.num_edges());
         let mut options = EngineOptions::default()
             .with_queue_depth(8)
             .with_page_cache(1 << 16);
         options.io_buffer_bytes = 4 * options.merge_window * PAGE_SIZE;
-        let e = engine(&g, 2, options);
+        let e = slow_engine(&g, 2, options);
         let traces = within_secs(120, move || {
             let primer = VertexSubset::single(n, 0);
             e.edge_map(&primer, |s, _d| s, |_d, _v| false, |_| true, false)

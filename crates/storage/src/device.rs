@@ -1,5 +1,6 @@
 //! The [`BlockDevice`] trait: the only storage interface the engine sees.
 
+use blaze_sync::Arc;
 use blaze_types::{BlazeError, Result, PAGE_SIZE};
 
 use crate::stats::IoStats;
@@ -67,5 +68,36 @@ pub trait BlockDevice: Send + Sync {
     /// Number of whole pages on the device.
     fn num_pages(&self) -> u64 {
         self.len() / PAGE_SIZE as u64
+    }
+}
+
+/// A shared device is a device: lets a wrapper ([`SlowDevice`],
+/// [`FaultyDevice`], …) sit on a device the caller keeps a handle to.
+///
+/// [`SlowDevice`]: crate::SlowDevice
+/// [`FaultyDevice`]: crate::FaultyDevice
+impl<D: BlockDevice + ?Sized> BlockDevice for Arc<D> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        (**self).read_at(offset, buf)
+    }
+
+    fn write_at(&self, offset: u64, buf: &[u8]) -> Result<()> {
+        (**self).write_at(offset, buf)
+    }
+
+    fn len(&self) -> u64 {
+        (**self).len()
+    }
+
+    fn stats(&self) -> &IoStats {
+        (**self).stats()
+    }
+
+    fn read_pages(&self, first_page: u64, buf: &mut [u8]) -> Result<()> {
+        (**self).read_pages(first_page, buf)
+    }
+
+    fn read_pages_at_depth(&self, first_page: u64, buf: &mut [u8], depth: u32) -> Result<()> {
+        (**self).read_pages_at_depth(first_page, buf, depth)
     }
 }

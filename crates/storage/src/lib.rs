@@ -16,9 +16,10 @@
 //! * [`merge_pages`] — merges at most [`MAX_MERGED_PAGES`] contiguous pages
 //!   per request and never merges across gaps (Section IV-C).
 //! * [`IoBackend`] — submission-queue / completion-queue IO engines
-//!   ([`SyncBackend`] depth-1 blocking, [`ThreadedBackend`] deep-queue with
-//!   out-of-order completions), the reproduction's stand-in for the paper's
-//!   per-SSD libaio thread (Section IV-C).
+//!   ([`SyncBackend`] depth-1 blocking; [`ThreadedBackend`], the default,
+//!   inline on a fast device and a deep out-of-order window on a slow one),
+//!   the reproduction's stand-in for the paper's per-SSD libaio thread
+//!   (Section IV-C).
 //! * [`BufferPool`] — fixed set of IO buffers recycled through MPMC
 //!   free/filled queues (Figure 5, steps 3–7).
 //! * [`PageCache`] — sharded clock (second-chance) cache of 4 KiB frames
@@ -39,10 +40,13 @@ pub mod profile;
 pub mod recorder;
 pub mod request;
 pub mod sim;
+pub mod slow;
 pub mod stats;
 pub mod stripe;
 
-pub use backend::{Completion, IoBackend, IoBackendKind, SyncBackend, ThreadedBackend};
+pub use backend::{
+    Completion, IoBackend, IoBackendKind, SyncBackend, ThreadedBackend, DEFAULT_QUEUE_DEPTH,
+};
 pub use buffer::{BufferPool, IoBuffer, PageBatch};
 pub use cache::{CacheStats, InsertOutcome, PageCache};
 pub use device::BlockDevice;
@@ -54,5 +58,6 @@ pub use profile::{AccessPattern, DeviceProfile};
 pub use recorder::RecordingDevice;
 pub use request::{merge_pages, IoRequest};
 pub use sim::SimDevice;
+pub use slow::SlowDevice;
 pub use stats::{IoStats, JobIoStats};
 pub use stripe::StripedStorage;

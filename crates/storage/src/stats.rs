@@ -2,7 +2,9 @@
 
 use blaze_sync::atomic::{AtomicU64, Ordering};
 
-use blaze_types::{CachePadded, PAGE_SIZE};
+use blaze_types::CachePadded;
+
+use crate::request::IoRequest;
 
 /// Thread-safe IO counters attached to every device.
 ///
@@ -39,6 +41,12 @@ impl IoStats {
         if sequential {
             self.sequential_reads.fetch_add(1, Ordering::Relaxed); // sync-audit: stats counter; see record_read.
         }
+    }
+
+    /// Counts one read as sequential, for callers that classify a request
+    /// before they know its outcome ([`JobIoStats::record_submit`]).
+    pub fn record_sequential_read(&self) {
+        self.sequential_reads.fetch_add(1, Ordering::Relaxed); // sync-audit: stats counter; see record_read.
     }
 
     /// Records one write of `bytes`.
@@ -118,18 +126,27 @@ impl IoStats {
 /// Number of log-scale per-request latency buckets tracked per job.
 /// Bucket `i` counts requests with service time in `[4^i, 4^(i+1))`
 /// microseconds (bucket 0 additionally absorbs sub-microsecond requests,
-/// the last bucket absorbs everything ≥ ~4.3 s).
+/// the last bucket absorbs everything ≥ ~16 ms).
 pub const LATENCY_BUCKETS: usize = 8;
+
+/// Exclusive upper bound of every latency bucket but the last, which is
+/// open, in nanoseconds.
+pub const LATENCY_BUCKET_UPPER_NS: [u64; LATENCY_BUCKETS - 1] = {
+    let mut bounds = [0; LATENCY_BUCKETS - 1];
+    let mut bucket = 0;
+    while bucket < bounds.len() {
+        bounds[bucket] = 4_000 << (2 * bucket);
+        bucket += 1;
+    }
+    bounds
+};
 
 /// Bucket index for a request that took `ns` nanoseconds.
 fn latency_bucket(ns: u64) -> usize {
-    let mut bucket = 0;
-    let mut upper = 4_000u64; // 4 µs: upper bound of bucket 0.
-    while bucket + 1 < LATENCY_BUCKETS && ns >= upper {
-        bucket += 1;
-        upper = upper.saturating_mul(4);
-    }
-    bucket
+    LATENCY_BUCKET_UPPER_NS
+        .iter()
+        .position(|&upper| ns < upper)
+        .unwrap_or(LATENCY_BUCKETS - 1)
 }
 
 /// Per-device counters of one job, cache-padded so the per-device IO
@@ -238,35 +255,37 @@ impl JobIoStats {
         self.devices.len()
     }
 
-    /// Records one merged read of `pages` local pages starting at
-    /// `first_local_page` on `device`, tracking sequentiality per device.
-    pub fn record_read(&self, device: usize, first_local_page: u64, pages: usize) {
+    /// Records the submission of `request` to the IO backend with
+    /// `in_flight` requests outstanding on `device` (including this one).
+    /// Sequentiality is decided here, in submission order: which of several
+    /// in-flight requests completes first is scheduling, not access
+    /// pattern.
+    pub fn record_submit(&self, device: usize, request: IoRequest, in_flight: u64) {
+        // sync-audit: Relaxed — per-job statistics written by the one IO
+        // worker pumping this device and read only after the job's roles
+        // have finished; no cross-thread ordering is needed (the cursor
+        // swap, record_latency and the readers below inherit this
+        // argument).
         let dev = &self.devices[device];
-        let end = first_local_page + pages as u64;
-        // sync-audit: Relaxed — one IO worker per device is the only writer,
-        // so the swap is just a cheap sequentiality cursor; readers are
-        // post-completion.
-        let prev = dev.next_local.swap(end, Ordering::Relaxed);
-        dev.stats
-            .record_read((pages * PAGE_SIZE) as u64, prev == first_local_page);
+        if dev.next_local.swap(request.end_page(), Ordering::Relaxed) == request.first_page {
+            dev.stats.record_sequential_read();
+        }
+        dev.submits.fetch_add(1, Ordering::Relaxed); // sync-audit: see record_submit.
+        dev.depth_sum.fetch_add(in_flight, Ordering::Relaxed); // sync-audit: see record_submit.
+        dev.depth_max.fetch_max(in_flight, Ordering::Relaxed); // sync-audit: see record_submit.
+    }
+
+    /// Records the successful completion of `request` on `device`. Bytes
+    /// and requests are counted here so a failed read adds none.
+    pub fn record_read(&self, device: usize, request: IoRequest) {
+        self.devices[device]
+            .stats
+            .record_read(request.len_bytes() as u64, false);
     }
 
     /// Adds modeled device busy time for `device`.
     pub fn add_busy_ns(&self, device: usize, ns: u64) {
         self.devices[device].stats.add_busy_ns(ns);
-    }
-
-    /// Records one request submission to the IO backend with `in_flight`
-    /// requests outstanding on `device` (including this one).
-    pub fn record_submit(&self, device: usize, in_flight: u64) {
-        // sync-audit: Relaxed — per-job depth statistics written by the one
-        // IO worker pumping this device and read only after the job's roles
-        // have finished; no cross-thread ordering is needed (record_latency
-        // and the readers below inherit this argument).
-        let dev = &self.devices[device];
-        dev.submits.fetch_add(1, Ordering::Relaxed); // sync-audit: see record_submit.
-        dev.depth_sum.fetch_add(in_flight, Ordering::Relaxed); // sync-audit: see record_submit.
-        dev.depth_max.fetch_max(in_flight, Ordering::Relaxed); // sync-audit: see record_submit.
     }
 
     /// Records the service time of one reaped completion on `device`.
@@ -498,6 +517,14 @@ impl IoStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blaze_types::PAGE_SIZE;
+
+    fn req(first_page: u64, num_pages: u32) -> IoRequest {
+        IoRequest {
+            first_page,
+            num_pages,
+        }
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -548,12 +575,17 @@ mod tests {
     #[test]
     fn job_stats_track_sequential_runs_per_device() {
         let j = JobIoStats::new(2);
-        // Device 0: two back-to-back runs, then a seek.
-        j.record_read(0, 0, 4);
-        j.record_read(0, 4, 2);
-        j.record_read(0, 100, 1);
+        // Device 0: two back-to-back runs, then a seek. All three are in
+        // flight before the first completes, and they complete backwards.
+        j.record_submit(0, req(0, 4), 1);
+        j.record_submit(0, req(4, 2), 2);
+        j.record_submit(0, req(100, 1), 3);
+        j.record_read(0, req(100, 1));
+        j.record_read(0, req(4, 2));
+        j.record_read(0, req(0, 4));
         // Device 1: first read is never sequential.
-        j.record_read(1, 0, 8);
+        j.record_submit(1, req(0, 8), 1);
+        j.record_read(1, req(0, 8));
         let snaps = j.snapshots();
         assert_eq!(snaps[0].read_ops, 3);
         assert_eq!(snaps[0].read_bytes, 7 * PAGE_SIZE as u64);
@@ -594,10 +626,10 @@ mod tests {
     fn depth_stats_track_max_and_mean_across_devices() {
         let j = JobIoStats::new(2);
         assert_eq!(j.depth_stats(), (0, 0.0));
-        j.record_submit(0, 1);
-        j.record_submit(0, 2);
-        j.record_submit(0, 3);
-        j.record_submit(1, 2);
+        j.record_submit(0, req(0, 1), 1);
+        j.record_submit(0, req(1, 1), 2);
+        j.record_submit(0, req(2, 1), 3);
+        j.record_submit(1, req(0, 1), 2);
         let (max, mean) = j.depth_stats();
         assert_eq!(max, 3);
         assert!((mean - 2.0).abs() < 1e-12, "mean {mean}");

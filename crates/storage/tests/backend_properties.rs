@@ -1,8 +1,10 @@
 //! Property-based tests of the threaded IO backend: for any page set,
 //! merge window, and queue depth, pumping the merged requests through
-//! [`ThreadedBackend`] — completions arriving in any order — must return
-//! exactly the bytes the synchronous [`StripedStorage::read_local_run`]
-//! oracle reads, once per request, with no buffer lost.
+//! [`ThreadedBackend`] — inline, or handed to its helpers with completions
+//! arriving in any order, or switching between the two after every
+//! completion — must return exactly the bytes the synchronous
+//! [`StripedStorage::read_local_run`] oracle reads, once per request, with
+//! no buffer lost.
 
 use proptest::prelude::*;
 
@@ -31,7 +33,17 @@ proptest! {
         queue_depth in 1usize..17,
         window in 1usize..6,
         mask in 0u64..=u64::MAX,
+        // Inline throughout (as on a fast device), handed to the helpers
+        // throughout, or switching: bit i of `mode_bits` says where the
+        // reads after the i-th completion go.
+        mode_kind in 0u8..3,
+        mode_bits in 0u64..=u64::MAX,
     ) {
+        let modes = match mode_kind {
+            0 => 0,
+            1 => u64::MAX,
+            _ => mode_bits,
+        };
         let s = storage(devices, pages_per_device);
         let backend = ThreadedBackend::new(s.clone(), queue_depth);
         for device in 0..devices {
@@ -43,9 +55,12 @@ proptest! {
             let mut next = 0usize;
             let mut in_flight = 0usize;
             let mut completed = vec![false; requests.len()];
+            let mut reaped = 0usize;
             while next < requests.len() || in_flight > 0 {
+                backend.force_mode(device, modes >> (reaped % 64) & 1 == 1);
                 while in_flight < queue_depth && next < requests.len() {
-                    backend.submit(device, requests[next], IoBuffer::new(), next as u64);
+                    let buffer = IoBuffer::with_pages(window);
+                    backend.submit(device, requests[next], buffer, next as u64);
                     next += 1;
                     in_flight += 1;
                 }
@@ -54,6 +69,7 @@ proptest! {
                 }
                 let c = backend.reap(device);
                 in_flight -= 1;
+                reaped += 1;
                 prop_assert!(c.result.is_ok(), "in-range read failed: {:?}", c.result);
                 let tag = c.tag as usize;
                 prop_assert!(!completed[tag], "request {tag} completed twice");

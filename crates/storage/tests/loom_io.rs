@@ -1,5 +1,8 @@
 //! Model-checked tests of the threaded IO backend's submission/completion
-//! protocol, under every interleaving the model explores:
+//! protocol, under every interleaving the model explores. The model cannot
+//! see time, so the tests put the device in hand-off mode through the
+//! backend's `force_mode` seam, as its detector would after enough slow
+//! reads:
 //!
 //! * two in-flight requests complete in either order, each exactly once,
 //!   with the bytes of its own request — reordering never loses or
@@ -9,7 +12,10 @@
 //!   the model terminates (no deadlock) with both requests completed;
 //! * when the device fails, every submitted request still produces exactly
 //!   one completion carrying its buffer — the error path drains rather
-//!   than leaking.
+//!   than leaking;
+//! * requests read inline and a request handed to a helper are in flight
+//!   together across both mode switches: each completes exactly once, and
+//!   dropping the backend joins the lazily started, parked helpers.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p blaze-storage --test loom_io --release`
@@ -39,6 +45,13 @@ fn storage(pages: u64) -> Arc<StripedStorage> {
     s
 }
 
+/// A backend whose device 0 hands every read to the helpers.
+fn deep_backend(storage: Arc<StripedStorage>, queue_depth: usize) -> ThreadedBackend {
+    let backend = ThreadedBackend::new(storage, queue_depth);
+    backend.force_mode(0, true);
+    backend
+}
+
 fn req(page: u64) -> IoRequest {
     IoRequest {
         first_page: page,
@@ -46,13 +59,13 @@ fn req(page: u64) -> IoRequest {
     }
 }
 
-/// Two requests in flight at depth 2: whatever order the submitter pool
+/// Two requests in flight at depth 2: whatever order the helper pool
 /// serves them, the pump reaps both exactly once and each completion
 /// carries its own page's bytes.
 #[test]
 fn completions_reorder_but_never_lose_or_duplicate() {
     let report = check_with(cfg(2), || {
-        let backend = ThreadedBackend::new(storage(2), 2);
+        let backend = deep_backend(storage(2), 2);
         backend.submit(0, req(0), IoBuffer::new(), 0);
         backend.submit(0, req(1), IoBuffer::new(), 1);
         let mut seen = [false; 2];
@@ -75,12 +88,12 @@ fn completions_reorder_but_never_lose_or_duplicate() {
 }
 
 /// A depth-1 window admits one request at a time: the second `submit`
-/// back-pressures until the submitter drains the queue. The model proves
+/// back-pressures until a helper drains the queue. The model proves
 /// the blocking handshake terminates under every schedule.
 #[test]
 fn submit_backpressures_at_queue_depth() {
     let report = check_with(cfg(2), || {
-        let backend = Arc::new(ThreadedBackend::new(storage(2), 1));
+        let backend = Arc::new(deep_backend(storage(2), 1));
         let pump = {
             let backend = backend.clone();
             thread::spawn(move || {
@@ -117,7 +130,7 @@ fn errors_drain_with_their_buffers() {
             1,
         ));
         let s = Arc::new(StripedStorage::new(vec![dev]).unwrap());
-        let backend = ThreadedBackend::new(s, 2);
+        let backend = deep_backend(s, 2);
         backend.submit(0, req(0), IoBuffer::new(), 0);
         backend.submit(0, req(1), IoBuffer::new(), 1);
         let mut buffers = 0;
@@ -128,6 +141,40 @@ fn errors_drain_with_their_buffers() {
         }
         assert_eq!(buffers, 2, "both buffers came back with their errors");
         assert!(backend.try_reap(0).is_none());
+    });
+    assert!(report.executions > 1, "expected multiple interleavings");
+}
+
+/// The device turns out slow and then fast again while requests are out:
+/// request 0 was read inline and waits in the lane, request 1 is the first
+/// hand-off (which starts the helpers), request 2 is read inline again
+/// while 1 may still be with a helper. All three are reaped exactly once
+/// with their own bytes, and dropping the backend joins helpers that are
+/// parked with nothing to do.
+#[test]
+fn inline_and_handed_off_requests_cross_the_mode_switch() {
+    let report = check_with(cfg(2), || {
+        let backend = ThreadedBackend::new(storage(3), 3);
+        backend.submit(0, req(0), IoBuffer::new(), 0);
+        backend.force_mode(0, true);
+        backend.submit(0, req(1), IoBuffer::new(), 1);
+        backend.force_mode(0, false);
+        backend.submit(0, req(2), IoBuffer::new(), 2);
+        let mut seen = [false; 3];
+        for _ in 0..3 {
+            let c = backend.reap(0);
+            c.result.unwrap();
+            let tag = c.tag as usize;
+            assert!(!seen[tag], "tag {tag} completed twice");
+            seen[tag] = true;
+            assert!(
+                c.buffer.pages(1).iter().all(|&b| b == c.tag as u8),
+                "completion {tag} carries another request's bytes"
+            );
+        }
+        assert_eq!(seen, [true; 3]);
+        assert!(backend.try_reap(0).is_none(), "stray completion");
+        drop(backend);
     });
     assert!(report.executions > 1, "expected multiple interleavings");
 }

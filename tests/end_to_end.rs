@@ -116,7 +116,11 @@ fn cold_start_from_files_with_simulated_optane() {
     assert_eq!(graph.num_vertices(), csr.num_vertices());
     assert_eq!(graph.num_edges(), csr.num_edges());
 
-    let engine = BlazeEngine::new(graph.clone(), EngineOptions::default()).unwrap();
+    // Depth 1, as the CLI does for a simulated device: the model prices a
+    // read by the mode it was made in, and modeled time should not depend
+    // on how fast the host returned the file.
+    let options = EngineOptions::default().with_queue_depth(1);
+    let engine = BlazeEngine::new(graph.clone(), options).unwrap();
     let parent = algo::bfs(&engine, 0, ExecMode::Binned).unwrap();
     let levels = reference::bfs_levels(&csr, 0);
     for v in 0..csr.num_vertices() {
