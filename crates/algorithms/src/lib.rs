@@ -23,12 +23,6 @@
 //! drains a priority frontier instead, converging to the same unique
 //! fixpoint the barriered modes reach.
 //!
-//! The [`sharded`] module re-expresses BFS, PageRank, WCC, and SpMV over a
-//! scale-out [`Cluster`](blaze_scaleout::Cluster): same superstep loops,
-//! but every `EdgeMap` is a concurrent multi-shard round exchanging
-//! frontier deltas. Deterministic outputs (BFS levels, WCC labels, exact
-//! SpMV) are bit-identical to the single-engine run for any shard count.
-//!
 //! All queries speak *original* vertex ids at the API boundary. Graphs
 //! written with a degree-aware physical layout run internally in physical
 //! id space; inputs (roots, vectors) and outputs (parents, ranks, labels,
@@ -47,7 +41,6 @@ pub mod labelprop;
 pub mod mode;
 pub mod pagerank;
 pub mod reference;
-pub mod sharded;
 pub mod spmv;
 pub mod sssp;
 mod translate;
@@ -59,7 +52,6 @@ pub use kcore::kcore;
 pub use labelprop::label_propagation;
 pub use mode::ExecMode;
 pub use pagerank::{pagerank_delta, pagerank_delta_combined, PageRankConfig};
-pub use sharded::{sharded_bfs, sharded_pagerank, sharded_spmv, sharded_wcc};
 pub use spmv::spmv;
 pub use sssp::sssp;
 pub use wcc::wcc;

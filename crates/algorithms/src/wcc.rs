@@ -141,8 +141,7 @@ fn run_async(
 /// component is relabeled to the minimum *original* id of its members and
 /// the array re-indexed to original order, matching the unreordered run
 /// exactly. Identity layouts skip the pass: physical == original there.
-/// Shared with the sharded driver, which converges to the same fixpoint.
-pub(crate) fn canonicalize_labels(
+fn canonicalize_labels(
     layout: &blaze_graph::VertexPermutation,
     ids: VertexArray<u32>,
 ) -> VertexArray<u32> {

@@ -2,6 +2,7 @@
 
 use blaze_types::{
     BlazeError, Result, DEFAULT_BIN_COUNT, DEFAULT_BIN_SPACE_RATIO, DEFAULT_STAGING_RECORDS,
+    MAX_BIN_COUNT,
 };
 
 /// Parameters of the online-binning machinery.
@@ -20,12 +21,22 @@ pub struct BinningConfig {
     pub staging_records: usize,
 }
 
+/// The bound both ways of setting a bin count share; [`MAX_BIN_COUNT`] says
+/// why there is an upper one.
+fn check_bin_count(n: usize) -> Result<()> {
+    if (1..=MAX_BIN_COUNT).contains(&n) {
+        Ok(())
+    } else {
+        Err(BlazeError::Config(format!(
+            "bin_count {n} is outside 1..={MAX_BIN_COUNT}"
+        )))
+    }
+}
+
 impl BinningConfig {
     /// Validated constructor.
     pub fn new(bin_count: usize, bin_space_bytes: usize, staging_records: usize) -> Result<Self> {
-        if bin_count == 0 {
-            return Err(BlazeError::Config("bin_count must be >= 1".into()));
-        }
+        check_bin_count(bin_count)?;
         if staging_records == 0 {
             return Err(BlazeError::Config("staging_records must be >= 1".into()));
         }
@@ -47,10 +58,11 @@ impl BinningConfig {
         }
     }
 
-    /// Overrides the bin count.
-    pub fn with_bin_count(mut self, n: usize) -> Self {
-        self.bin_count = n.max(1);
-        self
+    /// Overrides the bin count (`1..=MAX_BIN_COUNT`, as in [`new`](Self::new)).
+    pub fn with_bin_count(mut self, n: usize) -> Result<Self> {
+        check_bin_count(n)?;
+        self.bin_count = n;
+        Ok(self)
     }
 
     /// Overrides the total bin space.
@@ -82,6 +94,16 @@ mod tests {
         assert!(BinningConfig::new(0, 1024, 8).is_err());
         assert!(BinningConfig::new(4, 1024, 0).is_err());
         assert!(BinningConfig::new(4, 1024, 8).is_ok());
+    }
+
+    #[test]
+    fn bin_count_is_bounded_by_both_entry_points() {
+        assert!(BinningConfig::new(MAX_BIN_COUNT, 1024, 8).is_ok());
+        assert!(BinningConfig::new(MAX_BIN_COUNT + 1, 1024, 8).is_err());
+        let heuristic = BinningConfig::for_graph(1 << 20);
+        assert_eq!(heuristic.clone().with_bin_count(16).unwrap().bin_count, 16);
+        assert!(heuristic.clone().with_bin_count(0).is_err());
+        assert!(heuristic.with_bin_count(100_000_000).is_err());
     }
 
     #[test]

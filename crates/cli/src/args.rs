@@ -14,8 +14,9 @@ pub struct CliArgs {
     pub compute_workers: usize,
     /// Root vertex for traversals (`-startNode`, default 0).
     pub start_node: u32,
-    /// Total bin space in MiB (`-binSpace`; 0 = paper heuristic).
-    pub bin_space_mib: usize,
+    /// Total bin space in bytes (`-binSpace`, given in MiB; 0 = paper
+    /// heuristic).
+    pub bin_space_bytes: usize,
     /// Scatter fraction of compute workers (`-binningRatio`, default 0.5).
     pub binning_ratio: f64,
     /// Number of bins (`-binCount`, default 1024).
@@ -24,13 +25,14 @@ pub struct CliArgs {
     pub device: String,
     /// Maximum PageRank iterations (`-maxIters`, default 100).
     pub max_iters: usize,
-    /// Concurrent queries submitted to one engine (`-jobs`, default 1).
-    /// Traversal binaries run this many copies of the query from separate
-    /// threads against the shared persistent runtime.
+    /// Concurrent queries submitted to one engine (`-jobs`, default 1):
+    /// `bfs` runs this many copies of the query from separate threads
+    /// against the shared persistent runtime. The other binaries refuse
+    /// a value above 1 ([`parse_for`]).
     pub jobs: usize,
-    /// Clock page-cache budget in MiB (`-cache-mb`, default 0 = no cache,
-    /// matching the published system).
-    pub cache_mb: usize,
+    /// Clock page-cache budget in bytes (`-cache-mb`, given in MiB; default
+    /// 0 = no cache, matching the published system).
+    pub cache_bytes: usize,
     /// Cap on the per-device IO window (`-qd`). Absent = the engine's
     /// default on raw files (`-device none`), which reads inline on a fast
     /// device and keeps several requests in flight on a slow one, and 1 on
@@ -39,7 +41,7 @@ pub struct CliArgs {
     pub queue_depth: Option<usize>,
     /// Enable scatter-side record combining (`-combine`; PageRank only —
     /// same-destination delta records merge in the staging window before
-    /// reaching the bins).
+    /// reaching the bins). Binned mode only ([`parse_for`]).
     pub combine: bool,
     /// Execution mode (`-mode binned|sync|async`, default binned). Async
     /// is accepted only by the monotone queries.
@@ -51,10 +53,6 @@ pub struct CliArgs {
     /// reads through the flight table (one read, N consumers); this flag
     /// makes every job pay its own device IO, for A/B measurement.
     pub no_share: bool,
-    /// Scale-out shards (`-shards`, default 1 = single engine). BFS,
-    /// PageRank, and WCC accept >1 and run the graph as a concurrent
-    /// destination-partitioned cluster.
-    pub shards: usize,
     /// The `.gr.index` file (first positional argument).
     pub index: PathBuf,
     /// The `.gr.adj.<i>` stripe files (remaining positional arguments).
@@ -70,19 +68,18 @@ impl Default for CliArgs {
         Self {
             compute_workers: 2,
             start_node: 0,
-            bin_space_mib: 0,
+            bin_space_bytes: 0,
             binning_ratio: 0.5,
             bin_count: 1024,
             device: "optane".to_string(),
             max_iters: 100,
             jobs: 1,
-            cache_mb: 0,
+            cache_bytes: 0,
             queue_depth: None,
             combine: false,
             mode: ExecMode::Binned,
             k: 2,
             no_share: false,
-            shards: 1,
             index: PathBuf::new(),
             adj: Vec::new(),
             in_index: None,
@@ -104,6 +101,15 @@ fn parse_count(flag: &str, value: Option<&String>, min: usize) -> Result<usize> 
         return Err(BlazeError::Config(format!("{flag} must be >= {min}")));
     }
     Ok(n)
+}
+
+/// A size flag given in MiB, returned in bytes. A value whose byte count
+/// does not fit a `usize` is refused here: shifted unchecked it would wrap
+/// (2^44 MiB becomes 0, which means "no cache").
+fn parse_mib(flag: &str, value: Option<&String>) -> Result<usize> {
+    let mib = parse_count(flag, value, 0)?;
+    mib.checked_mul(1 << 20)
+        .ok_or_else(|| BlazeError::Config(format!("{flag}: {mib} MiB is not an addressable size")))
 }
 
 /// Parses an artifact-style argument list (without the program name).
@@ -130,11 +136,7 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
                     .map_err(|e| BlazeError::Config(format!("-startNode: {e}")))?;
             }
             "-binSpace" => {
-                out.bin_space_mib = it
-                    .next()
-                    .ok_or_else(|| missing("-binSpace"))?
-                    .parse()
-                    .map_err(|e| BlazeError::Config(format!("-binSpace: {e}")))?;
+                out.bin_space_bytes = parse_mib("-binSpace", it.next())?;
             }
             "-binningRatio" => {
                 out.binning_ratio = it
@@ -161,7 +163,7 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
                 out.jobs = parse_count("-jobs", it.next(), 1)?;
             }
             "-cache-mb" => {
-                out.cache_mb = parse_count("-cache-mb", it.next(), 0)?;
+                out.cache_bytes = parse_mib("-cache-mb", it.next())?;
             }
             "-qd" => {
                 out.queue_depth = Some(parse_count("-qd", it.next(), 1)?);
@@ -169,19 +171,12 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
             "-k" => {
                 out.k = parse_count("-k", it.next(), 1)? as u32;
             }
-            "-shards" => {
-                // Contradictory shard counts would silently change what
-                // "per-shard" stats mean; reject repeats like the dataset
-                // tools do.
-                once.check("-shards").map_err(BlazeError::Config)?;
-                out.shards = parse_count("-shards", it.next(), 1)?;
-            }
             "-combine" => {
                 out.combine = true;
             }
             "-no-share" => {
                 // A repeat means a mangled command line (probably meant to
-                // toggle something else); reject like `-shards` does.
+                // toggle something else); reject like the dataset tools do.
                 once.check("-no-share").map_err(BlazeError::Config)?;
                 out.no_share = true;
             }
@@ -224,6 +219,27 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
     Ok(out)
 }
 
+/// [`parse`] for the `query` binary. Flags that parse but that the binary
+/// would accept and then not act on are a usage error, not a silent no-op:
+/// only `bfs` submits `-jobs` copies of its query, and `-combine` exists
+/// in the binned pipeline alone.
+pub fn parse_for(query: &str, args: &[String]) -> Result<CliArgs> {
+    let out = parse(args)?;
+    if out.jobs > 1 && query != "bfs" {
+        return Err(BlazeError::Config(format!(
+            "-jobs {} is not supported by {query} (only bfs runs concurrent jobs)",
+            out.jobs
+        )));
+    }
+    if out.combine && out.mode != ExecMode::Binned {
+        return Err(BlazeError::Config(format!(
+            "-combine cannot be given with -mode {} (records combine in the binned pipeline only)",
+            out.mode
+        )));
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +278,7 @@ mod tests {
             "-binSpace 256 -binningRatio 0.5 -binCount 1024 g.gr.index g.gr.adj.0",
         ))
         .unwrap();
-        assert_eq!(a.bin_space_mib, 256);
+        assert_eq!(a.bin_space_bytes, 256 << 20);
         assert_eq!(a.bin_count, 1024);
         assert!((a.binning_ratio - 0.5).abs() < 1e-12);
     }
@@ -278,8 +294,11 @@ mod tests {
     #[test]
     fn parses_cache_flag() {
         let a = parse(&args("-cache-mb 64 g.gr.index g.gr.adj.0")).unwrap();
-        assert_eq!(a.cache_mb, 64);
-        assert_eq!(parse(&args("g.gr.index g.gr.adj.0")).unwrap().cache_mb, 0);
+        assert_eq!(a.cache_bytes, 64 << 20);
+        assert_eq!(
+            parse(&args("g.gr.index g.gr.adj.0")).unwrap().cache_bytes,
+            0
+        );
         assert!(parse(&args("-cache-mb x g.gr.index g.gr.adj.0")).is_err());
         assert!(parse(&args("-cache-mb")).is_err());
     }
@@ -321,33 +340,6 @@ mod tests {
             "{err}"
         );
         assert!(parse(&args("-mode")).is_err());
-    }
-
-    #[test]
-    fn parses_shards_flag() {
-        let a = parse(&args("-shards 4 g.gr.index g.gr.adj.0")).unwrap();
-        assert_eq!(a.shards, 4);
-        assert_eq!(parse(&args("g.gr.index g.gr.adj.0")).unwrap().shards, 1);
-        assert!(parse(&args("-shards 0 g.gr.index g.gr.adj.0")).is_err());
-        assert!(parse(&args("-shards x g.gr.index g.gr.adj.0")).is_err());
-        assert!(parse(&args("-shards")).is_err());
-    }
-
-    /// `-shards` shares the dataset tools' duplicate rejection (and its
-    /// diagnostic shape): two values mean a mangled command line, even if
-    /// they agree.
-    #[test]
-    fn rejects_duplicate_shards_flag() {
-        for dup in [
-            "-shards 2 -shards 4 g.gr.index g.gr.adj.0",
-            "-shards 2 -shards 2 g.gr.index g.gr.adj.0",
-        ] {
-            let err = parse(&args(dup)).unwrap_err().to_string();
-            assert!(
-                err.contains("duplicate flag -shards (each may be given once)"),
-                "input {dup:?} gave {err:?}"
-            );
-        }
     }
 
     #[test]
@@ -411,7 +403,7 @@ mod tests {
             );
         }
         let a = parse(&args("-cache-mb 0 g.gr.index g.gr.adj.0")).unwrap();
-        assert_eq!(a.cache_mb, 0);
+        assert_eq!(a.cache_bytes, 0);
     }
 
     #[test]

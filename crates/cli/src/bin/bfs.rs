@@ -22,48 +22,13 @@
 //! `-mode binned|sync|async` picks the execution mode; `async` drops the
 //! per-iteration barrier and drains a priority frontier bucketed by BFS
 //! level.
-//!
-//! `-shards N` (default 1) runs the graph as a concurrent
-//! destination-partitioned cluster of N engines exchanging frontier
-//! deltas; the summary's `shards:` line reports per-shard device bytes
-//! and the measured exchange traffic.
 
 use std::thread;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bfs: {e}");
-            std::process::exit(2);
-        }
-    };
-    if cli.shards > 1 {
-        let cluster = blaze_cli::open_cluster(&cli, &cli.index, &cli.adj).unwrap_or_else(|e| {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        });
-        let t0 = std::time::Instant::now();
-        let levels = blaze_algorithms::sharded_bfs(&cluster, cli.start_node).unwrap_or_else(|e| {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        });
-        let wall = t0.elapsed();
-        let reached = (0..cluster.num_vertices())
-            .filter(|&v| levels.get(v) != -1)
-            .count();
-        blaze_cli::print_cluster_summary("bfs", &cluster, wall);
-        println!("reached {reached} vertices from root {}", cli.start_node);
-        return;
-    }
-    let engine = match blaze_cli::open_engine(&cli, &cli.index, &cli.adj) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cli = blaze_cli::parse_env("bfs");
+    let engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj)
+        .unwrap_or_else(|e| blaze_cli::exit_with("bfs", &e));
     let t0 = std::time::Instant::now();
     let parents: Vec<_> = thread::scope(|s| {
         let handles: Vec<_> = (0..cli.jobs)
@@ -81,10 +46,7 @@ fn main() {
     let parent = parents
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
-        .unwrap_or_else(|e| {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        })
+        .unwrap_or_else(|e| blaze_cli::exit_with("bfs", &e))
         .pop()
         .expect("-jobs guarantees at least one run");
     let reached = (0..engine.num_vertices())

@@ -3,26 +3,12 @@
 //! `-mode binned|sync|async` picks the execution mode.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("lp: {e}");
-            std::process::exit(2);
-        }
-    };
-    let engine = match blaze_cli::open_engine(&cli, &cli.index, &cli.adj) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("lp: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cli = blaze_cli::parse_env("lp");
+    let engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj)
+        .unwrap_or_else(|e| blaze_cli::exit_with("lp", &e));
     let t0 = std::time::Instant::now();
-    let labels = blaze_algorithms::label_propagation(&engine, cli.mode).unwrap_or_else(|e| {
-        eprintln!("lp: {e}");
-        std::process::exit(1);
-    });
+    let labels = blaze_algorithms::label_propagation(&engine, cli.mode)
+        .unwrap_or_else(|e| blaze_cli::exit_with("lp", &e));
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("lp", &engine, wall);
     let mut distinct: Vec<u32> = (0..labels.len()).map(|v| labels.get(v)).collect();

@@ -4,56 +4,20 @@
 //! (default 0 = no cache); PageRank's repeated near-full scans are where
 //! a warm cache saves the most device bytes. `-combine` merges
 //! same-destination delta records in the scatter staging windows before
-//! they reach the bins (the summary's "records combined" count).
-//! `-shards N` runs a concurrent destination-partitioned cluster instead
-//! of one engine.
+//! they reach the bins (the summary's "records combined" count); it is a
+//! variant of the binned pipeline, so it cannot be given with `-mode sync`
+//! or `-mode async`.
 
 use blaze_algorithms::{pagerank_delta, pagerank_delta_combined, PageRankConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pr: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cli = blaze_cli::parse_env("pr");
     let config = PageRankConfig {
         max_iters: cli.max_iters,
         ..Default::default()
     };
-    if cli.shards > 1 {
-        if cli.combine {
-            // Combining happens inside each shard's staging windows; the
-            // sharded driver does not expose it yet.
-            eprintln!("pr: -combine is not supported with -shards > 1");
-            std::process::exit(2);
-        }
-        let cluster = blaze_cli::open_cluster(&cli, &cli.index, &cli.adj).unwrap_or_else(|e| {
-            eprintln!("pr: {e}");
-            std::process::exit(1);
-        });
-        let t0 = std::time::Instant::now();
-        let ranks = blaze_algorithms::sharded_pagerank(&cluster, config).unwrap_or_else(|e| {
-            eprintln!("pr: {e}");
-            std::process::exit(1);
-        });
-        let wall = t0.elapsed();
-        blaze_cli::print_cluster_summary("pr", &cluster, wall);
-        let top = (0..cluster.num_vertices())
-            .max_by(|&a, &b| ranks.get(a).total_cmp(&ranks.get(b)))
-            .unwrap_or(0);
-        println!("top-ranked vertex: {top} (rank {:.6})", ranks.get(top));
-        return;
-    }
-    let engine = match blaze_cli::open_engine(&cli, &cli.index, &cli.adj) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("pr: {e}");
-            std::process::exit(1);
-        }
-    };
+    let engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj)
+        .unwrap_or_else(|e| blaze_cli::exit_with("pr", &e));
     let t0 = std::time::Instant::now();
     let result = if cli.combine {
         pagerank_delta_combined(&engine, config)
@@ -61,10 +25,7 @@ fn main() {
         // Non-monotone: -mode async comes back as a config error here.
         pagerank_delta(&engine, config, cli.mode)
     };
-    let ranks = result.unwrap_or_else(|e| {
-        eprintln!("pr: {e}");
-        std::process::exit(1);
-    });
+    let ranks = result.unwrap_or_else(|e| blaze_cli::exit_with("pr", &e));
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("pr", &engine, wall);
     let top = (0..engine.num_vertices())

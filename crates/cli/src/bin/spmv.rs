@@ -1,26 +1,15 @@
 //! Artifact-style SpMV binary: computes `y = A^T x` with `x[i] = 1/(i+1)`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("spmv: {e}");
-            std::process::exit(2);
-        }
-    };
-    let engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj).unwrap_or_else(|e| {
-        eprintln!("spmv: {e}");
-        std::process::exit(1);
-    });
+    let cli = blaze_cli::parse_env("spmv");
+    let engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj)
+        .unwrap_or_else(|e| blaze_cli::exit_with("spmv", &e));
     let x: Vec<f64> = (0..engine.num_vertices())
         .map(|i| 1.0 / (i + 1) as f64)
         .collect();
     let t0 = std::time::Instant::now();
-    let y = blaze_algorithms::spmv(&engine, &x, cli.mode).unwrap_or_else(|e| {
-        eprintln!("spmv: {e}");
-        std::process::exit(1);
-    });
+    let y = blaze_algorithms::spmv(&engine, &x, cli.mode)
+        .unwrap_or_else(|e| blaze_cli::exit_with("spmv", &e));
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("spmv", &engine, wall);
     let norm: f64 = (0..engine.num_vertices())

@@ -9,26 +9,12 @@
 //! vertices by tentative distance so near vertices settle first.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("sssp: {e}");
-            std::process::exit(2);
-        }
-    };
-    let engine = match blaze_cli::open_engine(&cli, &cli.index, &cli.adj) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("sssp: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cli = blaze_cli::parse_env("sssp");
+    let engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj)
+        .unwrap_or_else(|e| blaze_cli::exit_with("sssp", &e));
     let t0 = std::time::Instant::now();
-    let dist = blaze_algorithms::sssp(&engine, cli.start_node, cli.mode).unwrap_or_else(|e| {
-        eprintln!("sssp: {e}");
-        std::process::exit(1);
-    });
+    let dist = blaze_algorithms::sssp(&engine, cli.start_node, cli.mode)
+        .unwrap_or_else(|e| blaze_cli::exit_with("sssp", &e));
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("sssp", &engine, wall);
     let mut reached = 0usize;

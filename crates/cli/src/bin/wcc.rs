@@ -1,59 +1,21 @@
 //! Artifact-style WCC binary. Requires the transpose via
 //! `-inIndexFilename` / `-inAdjFilenames`. `-cache-mb N` gives each
 //! direction's IO workers a clock page cache of N MiB (default 0).
-//! `-mode binned|sync|async` picks the execution mode. `-shards N` runs
-//! both directions as concurrent destination-partitioned clusters.
+//! `-mode binned|sync|async` picks the execution mode.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("wcc: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cli = blaze_cli::parse_env("wcc");
     let Some(in_index) = cli.in_index.clone() else {
         eprintln!("wcc: the transpose graph is required (-inIndexFilename / -inAdjFilenames)");
         std::process::exit(2);
     };
-    if cli.shards > 1 {
-        // Both file sets were written under one permutation (the dataset
-        // tools guarantee it), which sharded_wcc asserts.
-        let open = |index: &std::path::Path, adj: &[std::path::PathBuf]| {
-            blaze_cli::open_cluster(&cli, index, adj).unwrap_or_else(|e| {
-                eprintln!("wcc: {e}");
-                std::process::exit(1);
-            })
-        };
-        let out_cluster = open(&cli.index, &cli.adj);
-        let in_cluster = open(&in_index, &cli.in_adj);
-        let t0 = std::time::Instant::now();
-        let labels = blaze_algorithms::sharded_wcc(&out_cluster, &in_cluster).unwrap_or_else(|e| {
-            eprintln!("wcc: {e}");
-            std::process::exit(1);
-        });
-        let wall = t0.elapsed();
-        blaze_cli::print_cluster_summary("wcc", &out_cluster, wall);
-        let mut roots: Vec<u32> = (0..labels.len()).map(|v| labels.get(v)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        println!("{} weakly connected components", roots.len());
-        return;
-    }
-    let out_engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj).unwrap_or_else(|e| {
-        eprintln!("wcc: {e}");
-        std::process::exit(1);
-    });
-    let in_engine = blaze_cli::open_engine(&cli, &in_index, &cli.in_adj).unwrap_or_else(|e| {
-        eprintln!("wcc: {e}");
-        std::process::exit(1);
-    });
+    let out_engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj)
+        .unwrap_or_else(|e| blaze_cli::exit_with("wcc", &e));
+    let in_engine = blaze_cli::open_engine(&cli, &in_index, &cli.in_adj)
+        .unwrap_or_else(|e| blaze_cli::exit_with("wcc", &e));
     let t0 = std::time::Instant::now();
-    let labels = blaze_algorithms::wcc(&out_engine, &in_engine, cli.mode).unwrap_or_else(|e| {
-        eprintln!("wcc: {e}");
-        std::process::exit(1);
-    });
+    let labels = blaze_algorithms::wcc(&out_engine, &in_engine, cli.mode)
+        .unwrap_or_else(|e| blaze_cli::exit_with("wcc", &e));
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("wcc", &out_engine, wall);
     let mut roots: Vec<u32> = (0..labels.len()).map(|v| labels.get(v)).collect();

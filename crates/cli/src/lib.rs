@@ -16,6 +16,6 @@ pub mod args;
 pub mod run;
 pub mod toolargs;
 
-pub use args::{parse, CliArgs};
-pub use run::{open_cluster, open_engine, print_cluster_summary, print_run_summary};
+pub use args::{parse, parse_for, CliArgs};
+pub use run::{exit_with, open_engine, parse_env, print_run_summary};
 pub use toolargs::{parse_tool_args, try_parse_tool_args, write_graph_pair, FlagOnce, ToolArgs};

@@ -1,17 +1,35 @@
-//! Engine and cluster construction from parsed CLI arguments.
+//! What every query binary shares around its query: reading the command
+//! line, building the engine from it, the exit codes, and the summary.
 
 use blaze_sync::Arc;
 use std::path::{Path, PathBuf};
 
 use blaze_binning::BinningConfig;
 use blaze_core::{BlazeEngine, EngineOptions};
-use blaze_graph::{DiskGraph, GraphBuilder};
-use blaze_scaleout::Cluster;
+use blaze_graph::DiskGraph;
 use blaze_storage::stats::LATENCY_BUCKET_UPPER_NS;
 use blaze_storage::{BlockDevice, DeviceProfile, FileDevice, SimDevice, StripedStorage};
 use blaze_types::{BlazeError, Result};
 
 use crate::args::CliArgs;
+
+/// The command line of the `query` binary this process runs as. A usage
+/// error prints `query: <error>` and exits 2.
+pub fn parse_env(query: &str) -> CliArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    crate::args::parse_for(query, &args).unwrap_or_else(|e| exit_with(query, &e))
+}
+
+/// Prints `query: <error>` and ends the process: exit code 2 when the
+/// command line asked for something the engine refuses (a configuration
+/// error), 1 for everything met while running (IO, format, engine).
+pub fn exit_with(query: &str, err: &BlazeError) -> ! {
+    eprintln!("{query}: {err}");
+    std::process::exit(match err {
+        BlazeError::Config(_) => 2,
+        _ => 1,
+    })
+}
 
 /// Resolves the `-device` flag to a simulation profile (`none` disables
 /// the device model and runs on raw files).
@@ -53,7 +71,7 @@ fn open_storage(adj: &[PathBuf], device: &str) -> Result<Arc<StripedStorage>> {
 fn engine_options(args: &CliArgs, storage_bytes: u64) -> Result<EngineOptions> {
     let mut options = EngineOptions::default()
         .with_compute_workers(args.compute_workers.max(2), args.binning_ratio)
-        .with_cache_bytes(args.cache_mb << 20);
+        .with_cache_bytes(args.cache_bytes);
     // A simulated device prices a read made inline by its sequential cursor
     // and a read made in a deep window by its depth, and which of the two a
     // file gets would depend on how fast the host returned it: without
@@ -71,15 +89,15 @@ fn engine_options(args: &CliArgs, storage_bytes: u64) -> Result<EngineOptions> {
             .with_scan_sharing(true)
             .with_scan_share_lanes(args.jobs);
     }
-    if args.bin_space_mib > 0 {
+    if args.bin_space_bytes > 0 {
         options = options.with_binning(BinningConfig::new(
             args.bin_count,
-            args.bin_space_mib << 20,
+            args.bin_space_bytes,
             blaze_types::DEFAULT_STAGING_RECORDS,
         )?);
     } else if args.bin_count != blaze_types::DEFAULT_BIN_COUNT {
         let heuristic = BinningConfig::for_graph(storage_bytes);
-        options = options.with_binning(heuristic.with_bin_count(args.bin_count));
+        options = options.with_binning(heuristic.with_bin_count(args.bin_count)?);
     }
     Ok(options)
 }
@@ -97,36 +115,6 @@ pub fn open_engine(args: &CliArgs, index: &Path, adj: &[PathBuf]) -> Result<Blaz
     }
     let options = engine_options(args, graph.storage_bytes())?;
     BlazeEngine::new(graph, options)
-}
-
-/// Builds a `-shards N` scale-out cluster over one graph direction: the
-/// on-disk graph is read back, repartitioned by destination, and each
-/// shard gets its own engine (over `adj.len()` simulated devices) plus its
-/// own pool thread. The written physical layout carries over, so results
-/// match the single-engine run on the same files.
-pub fn open_cluster(args: &CliArgs, index: &Path, adj: &[PathBuf]) -> Result<Cluster> {
-    let graph = DiskGraph::open_files(index, adj)?;
-    let n = graph.num_vertices();
-    if args.start_node as usize >= n {
-        return Err(BlazeError::Config(format!(
-            "-startNode {} is out of range (graph has {} vertices)",
-            args.start_node, n
-        )));
-    }
-    let options = engine_options(args, graph.storage_bytes())?;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n as u32 {
-        for w in graph.read_neighbors(v)? {
-            b.add_edge(v, w);
-        }
-    }
-    Cluster::build_physical(
-        &b.build(),
-        graph.layout().clone(),
-        args.shards,
-        adj.len().max(1),
-        options,
-    )
 }
 
 /// The bucket of the service-time histogram that holds the `quantile`-th
@@ -240,36 +228,6 @@ pub fn print_run_summary(query: &str, engine: &BlazeEngine, wall: std::time::Dur
     println!("wall time: {:.3} s", wall.as_secs_f64());
 }
 
-/// Prints the post-run summary for a `-shards N` cluster run: the
-/// `shards:` line carries per-shard device bytes and the measured
-/// exchange traffic.
-pub fn print_cluster_summary(query: &str, cluster: &Cluster, wall: std::time::Duration) {
-    let stats = cluster.stats();
-    println!("== {query} done ==");
-    println!(
-        "graph: {} vertices over {} shards",
-        cluster.num_vertices(),
-        cluster.num_machines()
-    );
-    let device_bytes: Vec<String> = stats
-        .per_shard
-        .iter()
-        .map(|s| s.io_bytes.to_string())
-        .collect();
-    println!(
-        "shards: {} device bytes per shard [{}], exchange {} wire bytes + {} value bytes \
-         in {} messages over {} rounds",
-        cluster.num_machines(),
-        device_bytes.join(" "),
-        stats.exchange_bytes,
-        stats.exchange_value_bytes,
-        stats.exchange_messages,
-        stats.rounds
-    );
-    println!("io: {} bytes across all shards", stats.io_bytes);
-    println!("wall time: {:.3} s", wall.as_secs_f64());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +255,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let (index, adj) = save_files(&g, dir.path(), "t.gr", 1).unwrap();
         let args = CliArgs {
-            bin_space_mib: 2,
+            bin_space_bytes: 2 << 20,
             bin_count: 64,
             ..Default::default()
         };
@@ -312,7 +270,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let (index, adj) = save_files(&g, dir.path(), "t.gr", 1).unwrap();
         let args = CliArgs {
-            cache_mb: 8,
+            cache_bytes: 8 << 20,
             ..Default::default()
         };
         let engine = open_engine(&args, &index, &adj).unwrap();

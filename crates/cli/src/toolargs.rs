@@ -28,7 +28,7 @@ pub struct ToolArgs {
 /// Tracks value-taking flags that may be given at most once. Silently
 /// honoring only one of two contradictory values is how a
 /// `--layout degree ... --layout none` typo corrupts a dataset — so the
-/// dataset tools and the query binaries (`-shards`) share this one
+/// dataset tools and the query binaries (`-no-share`) share this one
 /// rejection, with one diagnostic shape.
 #[derive(Debug, Default)]
 pub struct FlagOnce {

@@ -3,16 +3,41 @@
 //! exactly as the paper's appendix describes.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
-fn run(bin: &str, args: &[&str]) -> (bool, String) {
-    let out = Command::new(bin).args(args).output().expect("spawn binary");
+/// Runs `bin` under a watchdog and returns its exit code (`None` when a
+/// signal ended it) with its output. A flag value that once made the
+/// process spawn threads or allocate without bound must not be able to
+/// take the test run down with it: past the deadline the child is killed.
+fn run_watched(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn binary");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll child").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill child");
+            panic!("{bin} {args:?} was still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect output");
     let text = format!(
         "{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    (out.status.success(), text)
+    (out.status.code(), text)
+}
+
+/// Whether `bin args` succeeded, with its output.
+fn run(bin: &str, args: &[&str]) -> (bool, String) {
+    let (code, text) = run_watched(bin, args);
+    (code == Some(0), text)
 }
 
 fn gen_graph(dir: &Path) -> (String, String, String, String) {
@@ -418,93 +443,110 @@ fn bad_layout_flag_exits_nonzero_for_both_tools() {
     assert!(text.contains("bad --layout"), "{text}");
 }
 
-/// `-shards N` runs the query as a concurrent destination-partitioned
-/// cluster: the result line matches the single-engine run, and the summary
-/// gains a `shards:` line with per-shard device bytes and exchange
-/// traffic. A repeated `-shards` is a usage error with the dataset tools'
-/// duplicate diagnostic.
+/// In-process sharding is gone (DESIGN §14): `-shards` is an unknown flag
+/// to every binary that took it.
 #[test]
-fn sharded_queries_match_single_engine_results() {
+fn shards_flag_is_rejected() {
     let dir = tempfile::tempdir().unwrap();
-    let (index, adj0, adj1, tindex) = gen_graph(dir.path());
-    let tadj = format!(
-        "{},{}",
-        dir.path().join("rmat27.tgr.adj.0").to_str().unwrap(),
-        dir.path().join("rmat27.tgr.adj.1").to_str().unwrap()
-    );
-
-    // BFS: identical "reached" line, sharded summary present.
-    let (ok, text) = run(
+    let (index, adj0, adj1, _) = gen_graph(dir.path());
+    for bin in [
         env!("CARGO_BIN_EXE_bfs"),
-        &["-startNode", "0", &index, &adj0, &adj1],
-    );
-    assert!(ok, "bfs failed: {text}");
-    let single = result_line(&text, "reached");
-    let (ok, text) = run(
-        env!("CARGO_BIN_EXE_bfs"),
-        &["-startNode", "0", "-shards", "4", &index, &adj0, &adj1],
-    );
-    assert!(ok, "sharded bfs failed: {text}");
-    assert_eq!(result_line(&text, "reached"), single);
-    let shards_line = result_line(&text, "shards: 4");
-    assert!(
-        shards_line.contains("device bytes per shard") && shards_line.contains("exchange"),
-        "{shards_line}"
-    );
-
-    // PageRank: the top-ranked vertex is stable (ranks agree to 1e-6;
-    // the printed 6-decimal rank may wobble in the last digit).
-    let (ok, text) = run(env!("CARGO_BIN_EXE_pr"), &[&index, &adj0, &adj1]);
-    assert!(ok, "pr failed: {text}");
-    let top = result_line(&text, "top-ranked vertex");
-    let top_id = top.split(" (rank").next().unwrap().to_string();
-    let (ok, text) = run(
         env!("CARGO_BIN_EXE_pr"),
-        &["-shards", "2", &index, &adj0, &adj1],
-    );
-    assert!(ok, "sharded pr failed: {text}");
-    assert!(
-        result_line(&text, "top-ranked vertex").starts_with(&top_id),
-        "{text}"
-    );
-    result_line(&text, "shards: 2");
+        env!("CARGO_BIN_EXE_wcc"),
+    ] {
+        let (code, text) = run_watched(bin, &["-shards", "2", &index, &adj0, &adj1]);
+        assert_eq!(code, Some(2), "{bin}: {text}");
+        assert!(text.contains("unknown flag -shards"), "{bin}: {text}");
+    }
+}
 
-    // WCC: identical component count across both sharded directions.
-    let run_wcc = |extra: &[&str]| {
-        let owned: Vec<String> = extra
-            .iter()
-            .map(|s| (*s).to_string())
-            .chain([
-                index.clone(),
-                adj0.clone(),
-                adj1.clone(),
-                "-inIndexFilename".to_string(),
-                tindex.clone(),
-                "-inAdjFilenames".to_string(),
-                tadj.clone(),
-            ])
-            .collect();
-        let refs: Vec<&str> = owned.iter().map(String::as_str).collect();
-        run(env!("CARGO_BIN_EXE_wcc"), &refs)
-    };
-    let (ok, text) = run_wcc(&[]);
-    assert!(ok, "wcc failed: {text}");
-    let components = result_line(&text, "weakly connected components");
-    let (ok, text) = run_wcc(&["-shards", "3"]);
-    assert!(ok, "sharded wcc failed: {text}");
-    assert_eq!(
-        result_line(&text, "weakly connected components"),
-        components
-    );
-    result_line(&text, "shards: 3");
+/// Asserts that `bin args <graph>` is a usage error (exit 2) whose message
+/// names every flag in `naming`.
+fn assert_usage_error(bin: &str, args: &[&str], naming: &[&str]) {
+    let dir = tempfile::tempdir().unwrap();
+    let (index, adj0, adj1, _) = gen_graph(dir.path());
+    let mut full = args.to_vec();
+    full.extend([index.as_str(), &adj0, &adj1]);
+    let (code, text) = run_watched(bin, &full);
+    assert_eq!(code, Some(2), "{bin} {args:?}: {text}");
+    for flag in naming {
+        assert!(
+            text.contains(flag),
+            "{bin} {args:?} must name {flag}: {text}"
+        );
+    }
+}
 
-    // Duplicate -shards: usage error, shared diagnostic.
-    let (ok, text) = run(
+// A flag the binary would accept and then not act on is refused: the
+// combined PageRank is a binned run whatever `-mode` says, and only `bfs`
+// reads `-jobs`.
+
+#[test]
+fn combine_with_sync_mode_is_a_usage_error() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_pr"),
+        &["-combine", "-mode", "sync"],
+        &["-combine", "-mode sync"],
+    );
+}
+
+#[test]
+fn combine_with_async_mode_is_a_usage_error() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_pr"),
+        &["-combine", "-mode", "async"],
+        &["-combine", "-mode async"],
+    );
+}
+
+#[test]
+fn jobs_flag_outside_bfs_is_a_usage_error() {
+    assert_usage_error(env!("CARGO_BIN_EXE_spmv"), &["-jobs", "3"], &["-jobs 3"]);
+}
+
+// Flag values that used to end the process (thread-spawn abort, OOM kill)
+// or wrap to zero are configuration errors.
+
+#[test]
+fn absurd_worker_count_is_a_usage_error() {
+    assert_usage_error(
         env!("CARGO_BIN_EXE_bfs"),
-        &["-shards", "2", "-shards", "4", &index, &adj0, &adj1],
+        &["-computeWorkers", "100000"],
+        &["100000 compute workers"],
     );
-    assert!(!ok, "duplicate -shards must be rejected");
-    assert!(text.contains("duplicate flag -shards"), "{text}");
+}
+
+#[test]
+fn absurd_bin_count_is_a_usage_error() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_bfs"),
+        &["-binSpace", "1", "-binCount", "100000000"],
+        &["bin_count 100000000"],
+    );
+    // The heuristic-space path (`with_bin_count`) has the same bound.
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_bfs"),
+        &["-binCount", "100000000"],
+        &["bin_count 100000000"],
+    );
+}
+
+#[test]
+fn cache_size_that_wraps_is_a_usage_error() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_bfs"),
+        &["-cache-mb", "17592186044416"],
+        &["-cache-mb", "17592186044416 MiB"],
+    );
+}
+
+#[test]
+fn bin_space_that_wraps_is_a_usage_error() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_bfs"),
+        &["-binSpace", "17592186044416"],
+        &["-binSpace", "17592186044416 MiB"],
+    );
 }
 
 #[test]

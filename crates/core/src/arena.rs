@@ -12,8 +12,8 @@
 //!   their buffer queues or bin back-pressure entangling;
 //! * a recycled arena is [`reset`](blaze_binning::BinSpace::reset) /
 //!   [`recycled`](blaze_storage::BufferPool::recycle) back to its pristine
-//!   state and cached for the next checkout, capped at
-//!   `EngineOptions::max_idle_arenas` idle entries;
+//!   state and cached for the next checkout, capped at the engine's
+//!   `MAX_IDLE_ARENAS` idle entries;
 //! * a job that fails (IO error) or panics does **not** recycle — its arena
 //!   may have buffers stranded on unwound stacks, so the engine drops it
 //!   and the next checkout allocates fresh. [`BufferPool::is_intact`]

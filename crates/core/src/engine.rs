@@ -31,6 +31,18 @@ use crate::runtime::{PipelineJob, Runtime};
 use crate::stats::{fill_io_trace_from_job, ExecStats};
 use crate::supply::PageSupply;
 
+/// Idle bin/buffer arenas the engine keeps cached between jobs. One serves
+/// a sequential algorithm; concurrent submitters each check out their own,
+/// checkouts beyond the cache allocate fresh arenas, and returned ones
+/// beyond it are dropped.
+const MAX_IDLE_ARENAS: usize = 2;
+
+/// Fraction of each cache shard's frames reservable as hot-region admission
+/// credits (see `PageCache::set_hot_region`). Only takes effect when the
+/// graph was written with a degree-aware layout (its page map reports a
+/// non-zero hot region).
+const CACHE_HOT_FRACTION: f64 = 0.5;
+
 /// Increments a counter when dropped — even if the owning worker panics in
 /// user code, so peers waiting on the counter cannot spin forever.
 struct CompletionGuard<'a> {
@@ -81,7 +93,7 @@ impl BlazeEngine {
             options.io_buffer_bytes,
             options.merge_window.max(blaze_types::MAX_MERGED_PAGES),
             options.num_gather,
-            options.max_idle_arenas,
+            MAX_IDLE_ARENAS,
         );
         // Scan sharing needs concurrent jobs' IO phases to overlap on each
         // device, so it widens the runtime to several IO lanes per device;
@@ -106,7 +118,7 @@ impl BlazeEngine {
                 // page map; hand it to the cache for heat-informed admission
                 // before the cache is shared. Identity graphs report zero
                 // hot pages and leave admission untouched.
-                c.set_hot_region(graph.pagemap().hot_pages(), options.cache_hot_fraction);
+                c.set_hot_region(graph.pagemap().hot_pages(), CACHE_HOT_FRACTION);
                 c
             });
         // Depth 1 is the published stream: strictly inline, in submission

@@ -74,7 +74,6 @@ pub mod engine;
 pub mod memory;
 pub mod options;
 pub mod runtime;
-pub mod shardpool;
 pub mod stats;
 mod supply;
 pub mod vertex_array;
@@ -86,7 +85,6 @@ pub use engine::BlazeEngine;
 pub use memory::MemoryFootprint;
 pub use options::EngineOptions;
 pub use runtime::{PipelineJob, Runtime};
-pub use shardpool::ShardPool;
 pub use stats::ExecStats;
 pub use vertex_array::VertexArray;
 pub use vertex_map::{vertex_map, vertex_map_with_grain};

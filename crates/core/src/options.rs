@@ -3,7 +3,7 @@
 use blaze_binning::BinningConfig;
 use blaze_storage::DEFAULT_QUEUE_DEPTH;
 use blaze_types::{
-    BlazeError, Result, DEFAULT_IO_BUFFER_BYTES, DEFAULT_VERTEX_MAP_GRAIN, MAX_MERGED_PAGES,
+    BlazeError, Result, DEFAULT_IO_BUFFER_BYTES, MAX_COMPUTE_WORKERS, MAX_MERGED_PAGES,
 };
 
 /// Configuration of one [`BlazeEngine`](crate::BlazeEngine).
@@ -32,21 +32,9 @@ pub struct EngineOptions {
     /// paper's stated future work and recovers the sk2005 loss to
     /// FlashGraph (Section V-B).
     pub cache_bytes: usize,
-    /// Fraction of each cache shard's frames reservable as hot-region
-    /// admission credits (see `PageCache::set_hot_region`). Only takes
-    /// effect when the graph was written with a degree-aware layout (its
-    /// page map reports a non-zero hot region); 0.0 disables heat-informed
-    /// admission even then. Must lie in `0.0..=1.0`.
-    pub cache_hot_fraction: f64,
     /// Whether to record per-iteration work traces for the performance
     /// model.
     pub record_trace: bool,
-    /// Maximum number of idle bin/buffer arenas the engine keeps cached
-    /// between jobs. One suffices for a sequential algorithm; concurrent
-    /// submitters each check out their own, and checkouts beyond the cache
-    /// simply allocate fresh arenas (returned ones beyond the cap are
-    /// dropped).
-    pub max_idle_arenas: usize,
     /// Cap on the per-device in-flight request window (the CLI's `-qd`).
     /// The default, [`DEFAULT_QUEUE_DEPTH`], lets the IO backend adapt to
     /// the device: it reads inline, one request at a time, while the device
@@ -55,12 +43,6 @@ pub struct EngineOptions {
     /// synchronous backend: strictly inline and in submission order,
     /// byte-for-byte the published engine's device traffic.
     pub queue_depth: usize,
-    /// Per-thread grain of the in-memory vertex-map phase: a frontier with
-    /// fewer than `vertex_map_grain * compute_workers` members runs
-    /// serially instead of forking scoped threads. Lower it to force the
-    /// parallel path on tiny graphs (loom and smoke builds), raise it to
-    /// pin small maps to one thread.
-    pub vertex_map_grain: usize,
     /// Cross-job scan sharing (single-flight miss coalescing): the first
     /// job to miss a page run leads the device read, overlapping
     /// concurrent misses subscribe to its completed frames, and a bounded
@@ -97,11 +79,8 @@ impl Default for EngineOptions {
             merge_window: MAX_MERGED_PAGES,
             binning: None,
             cache_bytes: 0,
-            cache_hot_fraction: 0.5,
             record_trace: true,
-            max_idle_arenas: 2,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            vertex_map_grain: DEFAULT_VERTEX_MAP_GRAIN,
             scan_sharing: false,
             scan_share_lanes: 4,
             scan_share_retain: 128,
@@ -146,24 +125,11 @@ impl EngineOptions {
         self.with_cache_bytes(pages * blaze_types::PAGE_SIZE)
     }
 
-    /// Overrides the protected hot-region budget fraction of the page
-    /// cache (`0.0..=1.0`; 0.0 disables heat-informed admission).
-    pub fn with_cache_hot_fraction(mut self, fraction: f64) -> Self {
-        self.cache_hot_fraction = fraction;
-        self
-    }
-
     /// Caps the per-device IO window (the CLI's `-qd N`, clamped to ≥ 1).
     /// 1 reproduces the published request stream exactly; see
     /// [`queue_depth`](Self::queue_depth).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Overrides the per-thread vertex-map serial grain (clamped to ≥ 1).
-    pub fn with_vertex_map_grain(mut self, grain: usize) -> Self {
-        self.vertex_map_grain = grain.max(1);
         self
     }
 
@@ -215,26 +181,23 @@ impl EngineOptions {
                 "need at least one scatter and one gather thread".into(),
             ));
         }
+        let workers = self.num_scatter.saturating_add(self.num_gather);
+        if workers > MAX_COMPUTE_WORKERS {
+            return Err(BlazeError::Config(format!(
+                "{workers} compute workers asked for, at most {MAX_COMPUTE_WORKERS} are supported"
+            )));
+        }
         if self.merge_window == 0 {
             return Err(BlazeError::Config("merge_window must be >= 1".into()));
         }
         if self.queue_depth == 0 {
             return Err(BlazeError::Config("queue_depth must be >= 1".into()));
         }
-        if self.vertex_map_grain == 0 {
-            return Err(BlazeError::Config("vertex_map_grain must be >= 1".into()));
-        }
         if self.async_batch_max == 0 {
             return Err(BlazeError::Config("async_batch_max must be >= 1".into()));
         }
         if self.async_buckets == 0 {
             return Err(BlazeError::Config("async_buckets must be >= 1".into()));
-        }
-        if !(0.0..=1.0).contains(&self.cache_hot_fraction) {
-            return Err(BlazeError::Config(format!(
-                "cache_hot_fraction {} outside 0.0..=1.0",
-                self.cache_hot_fraction
-            )));
         }
         if self.scan_share_lanes == 0 {
             return Err(BlazeError::Config("scan_share_lanes must be >= 1".into()));
@@ -299,39 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn vertex_map_grain_defaults_and_clamps() {
-        let o = EngineOptions::default();
-        assert_eq!(o.vertex_map_grain, DEFAULT_VERTEX_MAP_GRAIN);
-        // Default workers (2) × default grain reproduce the historical
-        // serial threshold of 2048.
-        assert_eq!(o.vertex_map_grain * o.compute_workers(), 2048);
-        assert_eq!(
-            EngineOptions::default()
-                .with_vertex_map_grain(0)
-                .vertex_map_grain,
-            1
-        );
-        let o = EngineOptions {
-            vertex_map_grain: 0,
-            ..Default::default()
-        };
-        assert!(o.validate().is_err());
-    }
-
-    #[test]
-    fn cache_hot_fraction_defaults_and_validates() {
-        let o = EngineOptions::default();
-        assert!((o.cache_hot_fraction - 0.5).abs() < 1e-12);
-        assert!(o.validate().is_ok());
-        let o = EngineOptions::default().with_cache_hot_fraction(1.0);
-        assert!(o.validate().is_ok());
-        for bad in [-0.1, 1.5, f64::NAN] {
-            let o = EngineOptions::default().with_cache_hot_fraction(bad);
-            assert!(o.validate().is_err(), "fraction {bad} accepted");
-        }
-    }
-
-    #[test]
     fn async_knobs_default_clamp_and_validate() {
         let o = EngineOptions::default();
         assert_eq!(o.async_batch_max, 4096);
@@ -384,5 +314,14 @@ mod tests {
             ..Default::default()
         };
         assert!(o.validate().is_err());
+    }
+
+    #[test]
+    fn worker_count_is_bounded() {
+        let at = EngineOptions::default().with_compute_workers(MAX_COMPUTE_WORKERS, 0.5);
+        assert!(at.validate().is_ok());
+        let over = EngineOptions::default().with_compute_workers(MAX_COMPUTE_WORKERS + 1, 0.5);
+        let err = over.validate().unwrap_err().to_string();
+        assert!(err.contains("compute workers"), "{err}");
     }
 }

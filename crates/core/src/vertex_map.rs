@@ -8,10 +8,8 @@ use blaze_types::{VertexId, DEFAULT_VERTEX_MAP_GRAIN};
 /// exactly the vertices for which `f` returned `true`.
 ///
 /// All vertex data is memory-resident under the semi-external model, so
-/// this runs without IO, parallelized over `threads` workers. Runs with the
-/// default serial grain ([`DEFAULT_VERTEX_MAP_GRAIN`] members per thread);
-/// callers with an [`EngineOptions`](crate::EngineOptions) at hand should
-/// pass its `vertex_map_grain` to [`vertex_map_with_grain`] instead.
+/// this runs without IO, parallelized over `threads` workers, with the
+/// serial grain of [`DEFAULT_VERTEX_MAP_GRAIN`] members per thread.
 pub fn vertex_map<F>(frontier: &VertexSubset, f: F, threads: usize) -> VertexSubset
 where
     F: Fn(VertexId) -> bool + Sync,

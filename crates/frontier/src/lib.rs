@@ -14,9 +14,6 @@
 //! a bucketed priority queue that gather workers push into while the driver
 //! pops the most urgent batch, replacing the superstep barrier for monotone
 //! algorithms.
-//!
-//! [`wire`] is the frontier's network face: a self-describing dense/sparse
-//! codec the scale-out layer uses to ship frontier deltas between shards.
 
 // The unsafe-audit rule (cargo xtask lint) keys off this: crates that
 // need no unsafe code forbid it outright, so the audit scope cannot
@@ -27,7 +24,6 @@ pub mod bitmap;
 pub mod pagesubset;
 pub mod priority;
 pub mod subset;
-pub mod wire;
 
 pub use bitmap::AtomicBitmap;
 pub use pagesubset::PageSubset;

@@ -211,31 +211,6 @@ impl VertexSubset {
         }
     }
 
-    /// Calls `f` for every member inside `range`, in ascending order — the
-    /// scale-out exchange uses this to slice one shard's share out of a
-    /// shared frontier without materializing the full member list per
-    /// shard. Sealed sparse sets binary-search their sorted list; dense or
-    /// unsealed sets probe only the bits of `range`, so a full sweep over
-    /// disjoint shard ranges stays `O(capacity)` total.
-    pub fn for_each_in_range(&self, range: std::ops::Range<VertexId>, mut f: impl FnMut(VertexId)) {
-        if let Some(sealed) = &self.sealed {
-            let lo = sealed.partition_point(|&v| v < range.start);
-            for &v in &sealed[lo..] {
-                if v >= range.end {
-                    break;
-                }
-                f(v);
-            }
-            return;
-        }
-        let end = (range.end as usize).min(self.capacity());
-        for i in (range.start as usize)..end {
-            if self.bitmap.get(i) {
-                f(i as VertexId);
-            }
-        }
-    }
-
     /// Memory footprint of the frontier (Figure 12 accounting): the bitmap
     /// plus any sparse member list.
     pub fn memory_bytes(&self) -> u64 {
@@ -359,33 +334,6 @@ mod tests {
         s.insert(1);
         // No seal() call: members still correct via bitmap scan.
         assert_eq!(s.members(), vec![1, 42]);
-    }
-
-    #[test]
-    fn for_each_in_range_slices_sorted() {
-        // Sealed sparse path.
-        let mut s = VertexSubset::new(1000);
-        for v in [500u32, 3, 77, 12, 999] {
-            s.insert(v);
-        }
-        s.seal();
-        let slice = |s: &VertexSubset, r: std::ops::Range<u32>| {
-            let mut out = Vec::new();
-            s.for_each_in_range(r, |v| out.push(v));
-            out
-        };
-        assert_eq!(slice(&s, 0..1000), vec![3, 12, 77, 500, 999]);
-        assert_eq!(slice(&s, 12..500), vec![12, 77]);
-        assert_eq!(slice(&s, 501..999), Vec::<u32>::new());
-        // Dense path.
-        let f = VertexSubset::full(64);
-        assert_eq!(slice(&f, 10..13), vec![10, 11, 12]);
-        // Unsealed path falls back to bitmap probes.
-        let u = VertexSubset::new(100);
-        u.insert(42);
-        let mut out = Vec::new();
-        u.for_each_in_range(40..50, |v| out.push(v));
-        assert_eq!(out, vec![42]);
     }
 
     #[test]

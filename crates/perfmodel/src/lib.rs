@@ -41,6 +41,6 @@ pub mod timeline;
 
 pub use calibrate::calibrated_cost_model;
 pub use costs::CostModel;
-pub use machine::{MachineConfig, NetworkProfile};
+pub use machine::MachineConfig;
 pub use systems::{IterationTiming, PerfModel, QueryTiming};
 pub use timeline::{Timeline, TimelineSegment};

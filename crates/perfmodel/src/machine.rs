@@ -2,28 +2,6 @@
 
 use blaze_storage::{AccessPattern, DeviceProfile};
 
-/// The network interface of a machine, for pricing the scale-out exchange
-/// leg: frontier deltas crossing machines pay per-message latency plus
-/// payload bytes over the link bandwidth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkProfile {
-    /// Link bandwidth in bytes per second.
-    pub bandwidth: f64,
-    /// Per-message one-way latency in nanoseconds.
-    pub latency_ns: f64,
-}
-
-impl NetworkProfile {
-    /// A 10 GbE NIC: 1.25 GB/s, 10 us per message — the class of link the
-    /// paper's testbed cluster would use between boxes.
-    pub fn ten_gbe() -> Self {
-        Self {
-            bandwidth: 1.25e9,
-            latency_ns: 10_000.0,
-        }
-    }
-}
-
 /// Machine configuration: compute threads plus a device array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
@@ -34,8 +12,6 @@ pub struct MachineConfig {
     pub scatter_ratio: f64,
     /// The device array.
     pub devices: Vec<DeviceProfile>,
-    /// The NIC connecting this machine to its shard peers.
-    pub network: NetworkProfile,
 }
 
 impl MachineConfig {
@@ -45,7 +21,6 @@ impl MachineConfig {
             compute_threads: 16,
             scatter_ratio: 0.5,
             devices: vec![DeviceProfile::optane_p4800x()],
-            network: NetworkProfile::ten_gbe(),
         }
     }
 
@@ -55,7 +30,6 @@ impl MachineConfig {
             compute_threads: 16,
             scatter_ratio: 0.5,
             devices: vec![DeviceProfile::nand_s3520()],
-            network: NetworkProfile::ten_gbe(),
         }
     }
 
@@ -65,7 +39,6 @@ impl MachineConfig {
             compute_threads: 16,
             scatter_ratio: 0.5,
             devices: vec![DeviceProfile::optane_p4800x(); 8],
-            network: NetworkProfile::ten_gbe(),
         }
     }
 
@@ -78,12 +51,6 @@ impl MachineConfig {
     /// Replaces the scatter ratio.
     pub fn with_scatter_ratio(mut self, ratio: f64) -> Self {
         self.scatter_ratio = ratio.clamp(0.01, 0.99);
-        self
-    }
-
-    /// Replaces the network profile.
-    pub fn with_network(mut self, network: NetworkProfile) -> Self {
-        self.network = network;
         self
     }
 
@@ -117,18 +84,6 @@ impl MachineConfig {
         let rand = requests - seq;
         seq as f64 * profile.read_service_ns(avg, AccessPattern::Sequential) as f64
             + rand as f64 * profile.read_service_ns(avg, AccessPattern::Random) as f64
-    }
-
-    /// Modeled wall time of the network leg of a scale-out run: `bytes`
-    /// shipped across `messages` point-to-point sends on this machine's
-    /// NIC. Latencies are charged per message (they do not pipeline in the
-    /// barriered superstep — every round waits for its slowest exchange),
-    /// bytes are charged at link bandwidth.
-    pub fn network_ns(&self, bytes: u64, messages: u64) -> f64 {
-        if bytes == 0 && messages == 0 {
-            return 0.0;
-        }
-        messages as f64 * self.network.latency_ns + bytes as f64 / self.network.bandwidth * 1e9
     }
 }
 
@@ -167,29 +122,5 @@ mod tests {
         let m = MachineConfig::eight_disk_array();
         assert_eq!(m.devices.len(), 8);
         assert!(m.aggregate_bandwidth() > 8.0 * 2.0e9);
-    }
-
-    #[test]
-    fn network_leg_charges_latency_and_bandwidth() {
-        let m = MachineConfig::paper_optane();
-        assert_eq!(m.network_ns(0, 0), 0.0);
-        // Pure latency: 10 messages of nothing = 10 * 10 us.
-        assert_eq!(m.network_ns(0, 10), 100_000.0);
-        // 1.25 GB at 1.25 GB/s = 1 s, plus one message latency.
-        let ns = m.network_ns(1_250_000_000, 1);
-        assert!((ns - 1.000_010e9).abs() < 1.0, "{ns}");
-        // Bandwidth term dominates for bulk transfers.
-        assert!(m.network_ns(1 << 30, 4) > m.network_ns(1 << 20, 4));
-    }
-
-    #[test]
-    fn network_profile_is_tunable() {
-        let fast = NetworkProfile {
-            bandwidth: 12.5e9,
-            latency_ns: 2_000.0,
-        };
-        let m = MachineConfig::paper_optane().with_network(fast.clone());
-        assert_eq!(m.network, fast);
-        assert!(m.network_ns(1 << 30, 1) < MachineConfig::paper_optane().network_ns(1 << 30, 1));
     }
 }

@@ -1,7 +1,7 @@
 //! The synchronization facade of the Blaze workspace.
 //!
 //! Every concurrent crate (`blaze-binning`, `blaze-core`, `blaze-frontier`,
-//! `blaze-storage`, `blaze-baselines`, `blaze-scaleout`) imports its
+//! `blaze-storage`, `blaze-baselines`) imports its
 //! synchronization primitives — mutexes, condition variables, atomics,
 //! threads, and the MPMC queues of the IO/scatter/gather pipeline —
 //! exclusively through this crate. The `cargo xtask lint` gate enforces this

@@ -29,6 +29,13 @@ pub const DEGREES_PER_LINE: usize = CACHE_LINE / 4;
 /// bins ... will provide good performance in general").
 pub const DEFAULT_BIN_COUNT: usize = 1024;
 
+/// Most bins a configuration may ask for: the top of the paper's Figure 11
+/// sweep. Every bin holds two buffers of at least one staging batch
+/// whatever the bin space, and every scatter thread a staging window per
+/// bin, so the count is bounded where it enters, before anything is sized
+/// by it.
+pub const MAX_BIN_COUNT: usize = 131_072;
+
 /// Default ratio of total bin space to input graph size (Section IV-A:
 /// "0.05x of the input graph size for bin space").
 pub const DEFAULT_BIN_SPACE_RATIO: f64 = 0.05;
@@ -40,6 +47,12 @@ pub const DEFAULT_STAGING_RECORDS: usize = 64;
 /// Default amount of memory reserved for IO buffers (Section IV-F uses
 /// 64 MiB for all workloads; we scale with the 1/1024-scale datasets).
 pub const DEFAULT_IO_BUFFER_BYTES: usize = 4 << 20;
+
+/// Most compute threads (scatter plus gather) one engine may be asked for.
+/// The runtime spawns them all when the engine is built, and a thread that
+/// cannot be spawned aborts the process; sixty-four times the paper's
+/// sixteen is far beyond any machine this runs on and still starts.
+pub const MAX_COMPUTE_WORKERS: usize = 1024;
 
 /// Default per-thread grain of the in-memory vertex-map phase: a frontier
 /// smaller than `grain * threads` members runs serially, since forking

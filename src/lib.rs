@@ -10,6 +10,5 @@ pub use blaze_core as engine;
 pub use blaze_frontier as frontier;
 pub use blaze_graph as graph;
 pub use blaze_perfmodel as perfmodel;
-pub use blaze_scaleout as scaleout;
 pub use blaze_storage as storage;
 pub use blaze_types as types;

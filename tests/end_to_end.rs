@@ -187,3 +187,179 @@ fn traces_feed_the_performance_model() {
     // And Blaze stays near the device bandwidth.
     assert!(blaze.avg_bandwidth() > 0.75 * model.machine.aggregate_bandwidth());
 }
+
+/// What a query returned, in the form it is compared with its reference.
+enum Answer {
+    /// Compared bit for bit.
+    Exact(Vec<i64>),
+    /// Floating-point sums, whose order differs between schedules: each
+    /// value within `tol` of the reference, relative to the larger of the
+    /// two magnitudes and `floor`.
+    Close {
+        values: Vec<f64>,
+        tol: f64,
+        floor: f64,
+    },
+}
+
+impl Answer {
+    fn exact<T: Copy + TryInto<i64>>(values: &[T]) -> Self {
+        // u64::MAX (SSSP's "unreached") has no i64; -1 is free in every
+        // exact answer compared here.
+        Answer::Exact(values.iter().map(|&v| v.try_into().unwrap_or(-1)).collect())
+    }
+
+    fn assert_matches(&self, want: &Answer, what: &str) {
+        match (self, want) {
+            (Answer::Exact(got), Answer::Exact(want)) => assert_eq!(got, want, "{what}"),
+            (Answer::Close { values: got, .. }, Answer::Close { values, tol, floor }) => {
+                assert_eq!(got.len(), values.len(), "{what}");
+                for (v, (x, y)) in got.iter().zip(values).enumerate() {
+                    let scale = x.abs().max(y.abs()).max(*floor);
+                    assert!((x - y).abs() <= tol * scale, "{what} at {v}: {x} vs {y}");
+                }
+            }
+            _ => panic!("{what}: an exact answer compared with a tolerant one"),
+        }
+    }
+}
+
+/// BFS levels from a parent array: the tree may differ between schedules,
+/// the levels may not.
+fn levels_from_parents(parent: &[i64], root: u32) -> Vec<i64> {
+    let depth = |v: usize| {
+        let (mut cur, mut depth) = (v, 0i64);
+        while cur != root as usize {
+            cur = parent[cur] as usize;
+            depth += 1;
+            assert!(depth <= parent.len() as i64, "parent cycle at {v}");
+        }
+        depth
+    };
+    (0..parent.len())
+        .map(|v| if parent[v] < 0 { -1 } else { depth(v) })
+        .collect()
+}
+
+/// Tier-1 runs only this package, so this is where every query meets every
+/// mode it supports once: a mode that breaks in a crate-level suite breaks
+/// here too. Non-monotone queries must refuse async with a configuration
+/// error, not run it.
+#[test]
+fn every_query_matches_its_reference_in_every_mode() {
+    use blaze::types::{BlazeError, Result};
+    use ExecMode::{Async, Binned, Sync};
+
+    let csr = gen::rmat(&gen::RmatConfig::new(9));
+    let t = csr.transpose();
+    let n = csr.num_vertices();
+    let root = 0;
+    let k = 3;
+    let x: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+    let cfg = PageRankConfig::default();
+    // A fresh engine per run: no run sees another's cache, arenas or stats.
+    let fwd = || engine_over(&csr, 2);
+    let rev = || engine_over(&t, 2);
+    let ranks = |values: Vec<f64>| Answer::Close {
+        values,
+        tol: 1e-6,
+        floor: 1e-12,
+    };
+    let pr_want = reference::pagerank_delta(&csr, cfg.damping, cfg.epsilon, cfg.max_iters);
+    let sums = |values: Vec<f64>| Answer::Close {
+        values,
+        tol: 1e-9,
+        floor: 1.0,
+    };
+
+    type Run<'a> = Box<dyn Fn(ExecMode) -> Result<Answer> + 'a>;
+    struct Row<'a> {
+        query: &'a str,
+        modes: &'a [ExecMode],
+        refused: &'a [ExecMode],
+        run: Run<'a>,
+        want: Answer,
+    }
+    let rows = [
+        Row {
+            query: "bfs",
+            modes: &[Binned, Sync, Async],
+            refused: &[],
+            run: Box::new(|m| {
+                let parent = algo::bfs(&fwd(), root, m)?.to_vec();
+                Ok(Answer::exact(&levels_from_parents(&parent, root)))
+            }),
+            want: Answer::exact(&reference::bfs_levels(&csr, root)),
+        },
+        Row {
+            query: "pr",
+            modes: &[Binned, Sync],
+            refused: &[Async],
+            run: Box::new(|m| Ok(ranks(algo::pagerank_delta(&fwd(), cfg, m)?.to_vec()))),
+            want: ranks(pr_want.clone()),
+        },
+        Row {
+            query: "pr -combine",
+            modes: &[Binned],
+            refused: &[],
+            run: Box::new(|_| Ok(ranks(algo::pagerank_delta_combined(&fwd(), cfg)?.to_vec()))),
+            want: ranks(pr_want.clone()),
+        },
+        Row {
+            query: "wcc",
+            modes: &[Binned, Sync, Async],
+            refused: &[],
+            run: Box::new(|m| Ok(Answer::exact(&algo::wcc(&fwd(), &rev(), m)?.to_vec()))),
+            want: Answer::exact(&reference::wcc_labels(&csr)),
+        },
+        Row {
+            query: "spmv",
+            modes: &[Binned, Sync],
+            refused: &[Async],
+            run: Box::new(|m| Ok(sums(algo::spmv(&fwd(), &x, m)?.to_vec()))),
+            want: sums(reference::spmv(&csr, &x)),
+        },
+        Row {
+            query: "bc",
+            modes: &[Binned, Sync],
+            refused: &[Async],
+            run: Box::new(|m| Ok(sums(algo::bc(&fwd(), &rev(), root, m)?.to_vec()))),
+            want: sums(reference::bc_scores(&csr, root)),
+        },
+        Row {
+            query: "sssp",
+            modes: &[Binned, Sync, Async],
+            refused: &[],
+            run: Box::new(|m| Ok(Answer::exact(&algo::sssp(&fwd(), root, m)?.to_vec()))),
+            want: Answer::exact(&reference::sssp_distances(&csr, root)),
+        },
+        Row {
+            query: "kcore",
+            modes: &[Binned, Sync, Async],
+            refused: &[],
+            run: Box::new(|m| Ok(Answer::exact(&algo::kcore(&fwd(), &rev(), k, m)?.to_vec()))),
+            want: Answer::exact(&reference::kcore_alive(&csr, i64::from(k))),
+        },
+        Row {
+            query: "lp",
+            modes: &[Binned, Sync, Async],
+            refused: &[],
+            run: Box::new(|m| Ok(Answer::exact(&algo::label_propagation(&fwd(), m)?.to_vec()))),
+            want: Answer::exact(&reference::labelprop_labels(&csr)),
+        },
+    ];
+    for row in &rows {
+        for &mode in row.modes {
+            let what = format!("{} -mode {mode}", row.query);
+            let got = (row.run)(mode).unwrap_or_else(|e| panic!("{what}: {e}"));
+            got.assert_matches(&row.want, &what);
+        }
+        for &mode in row.refused {
+            match (row.run)(mode) {
+                Err(BlazeError::Config(_)) => {}
+                Err(other) => panic!("{} -mode {mode}: wrong error: {other}", row.query),
+                Ok(_) => panic!("{} -mode {mode} must be refused", row.query),
+            }
+        }
+    }
+}
