@@ -22,13 +22,6 @@ pub fn bc(
     root: VertexId,
     mode: ExecMode,
 ) -> Result<VertexArray<f64>> {
-    if mode == ExecMode::Async {
-        // Sigma counting and dependency accumulation are sums over exact
-        // level structure — not a monotone relaxation.
-        return Err(blaze_types::BlazeError::Config(
-            "bc is not monotone; async mode supports BFS/SSSP/WCC/k-core/labelprop".into(),
-        ));
-    }
     let n = out_engine.num_vertices();
     assert_eq!(
         n,
@@ -99,7 +92,6 @@ pub fn bc(
                 cond,
                 true,
             )?,
-            ExecMode::Async => unreachable!("rejected at entry"),
         };
         levels.push(next);
     }
@@ -144,7 +136,6 @@ pub fn bc(
                 cond,
                 true,
             )?,
-            ExecMode::Async => unreachable!("rejected at entry"),
         };
         // delta[v] = sigma[v] * acc[v]; reset acc for the next level.
         let parents = &levels[l - 1];

@@ -13,45 +13,12 @@ use crate::mode::ExecMode;
 /// the state of Algorithm 1. Both `root` and the returned parents are
 /// original vertex ids regardless of the graph's physical layout; the
 /// traversal itself runs in physical space.
-///
-/// [`ExecMode::Async`] runs barrier-free: levels are min-relaxed from a
-/// priority frontier bucketed by level, so low levels drain first and the
-/// fixpoint — the unique shortest unweighted distance — is reached without
-/// supersteps. Levels derived from the returned parents are bit-identical
-/// to the barriered modes; the parents themselves are one valid BFS tree
-/// (as in any mode, ties go to an arbitrary in-neighbor one level up).
 pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<VertexArray<i64>> {
     let layout = engine.graph().layout();
     let root = layout.to_physical(root);
     let n = engine.num_vertices();
     let parent = VertexArray::<i64>::new(n, -1);
     parent.set(root as usize, root as i64);
-
-    if mode == ExecMode::Async {
-        // Level array drives both the min-relaxation and the priority.
-        let level = VertexArray::<i64>::new(n, -1);
-        level.set(root as usize, 0);
-        engine.edge_map_async(
-            &[root],
-            // Pack candidate level and source: the gather must accept or
-            // reject both atomically with respect to its own re-reads.
-            |s: VertexId, _d: VertexId| (((level.get(s as usize) + 1) as u64) << 32) | u64::from(s),
-            |d: VertexId, packed: u64| {
-                let lvl = (packed >> 32) as i64;
-                let cur = level.get(d as usize);
-                if cur == -1 || lvl < cur {
-                    level.set(d as usize, lvl);
-                    parent.set(d as usize, (packed & 0xffff_ffff) as i64);
-                    true
-                } else {
-                    false
-                }
-            },
-            |_d: VertexId| true,
-            |v: VertexId| level.get(v as usize).max(0) as u64,
-        )?;
-        return Ok(finish_bfs(layout, parent, n));
-    }
 
     let mut frontier = VertexSubset::single(n, root);
 
@@ -86,7 +53,6 @@ pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Verte
                 cond,
                 true,
             )?,
-            ExecMode::Async => unreachable!("handled above"),
         };
     }
     Ok(finish_bfs(layout, parent, n))
@@ -180,17 +146,6 @@ mod tests {
         let e = engine(&g, 4);
         let parent = bfs(&e, 5, ExecMode::Binned).unwrap();
         assert_valid_bfs(&g, 5, &parent);
-    }
-
-    #[test]
-    fn async_bfs_is_a_valid_bfs_tree_with_oracle_levels() {
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2);
-        let parent = bfs(&e, 0, ExecMode::Async).unwrap();
-        // assert_valid_bfs checks reached-set AND per-vertex levels against
-        // the reference, which is the bit-identical part of the contract.
-        assert_valid_bfs(&g, 0, &parent);
-        assert!(e.stats().async_rounds >= 1, "async mode must trace rounds");
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! degrees. Peel: vertices whose degree drops below `k` die and scatter a
 //! decrement to their neighbors, cascading until no vertex changes. Peeling
 //! is confluent — the surviving core is unique regardless of removal order
-//! — so the membership flags are bit-identical across all three modes, and
-//! the peel phase is async-capable.
+//! — so the membership flags are bit-identical across both modes.
 
 use blaze_core::{BlazeEngine, VertexArray};
-use blaze_frontier::{PriorityFrontier, VertexSubset};
+use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
 use crate::mode::ExecMode;
@@ -41,8 +40,7 @@ pub fn kcore(
     let deg = VertexArray::<i64>::new(n, 0);
     let alive = VertexArray::<u32>::new(n, 1);
 
-    // --- Bootstrap: undirected degrees. Sums need exactly-once delivery,
-    // so even async mode runs this part barriered (one job per direction).
+    // --- Bootstrap: undirected degrees, one job per direction.
     let full = VertexSubset::full(n);
     for engine in [out_engine, in_engine] {
         match mode {
@@ -57,7 +55,7 @@ pub fn kcore(
                 false,
             )?,
             // Bin exclusivity makes the plain read-modify-write safe.
-            ExecMode::Binned | ExecMode::Async => engine.edge_map(
+            ExecMode::Binned => engine.edge_map(
                 &full,
                 |_s: VertexId, _d: VertexId| 1u64,
                 |d: VertexId, c: u64| {
@@ -125,39 +123,6 @@ pub fn kcore(
                     VertexSubset::from_members(n, out.members().into_iter().chain(inn.members()));
             }
         }
-        ExecMode::Async => {
-            let opts = out_engine.options();
-            let pf = PriorityFrontier::new(n, opts.async_buckets);
-            // Peeling has no useful urgency order; one bucket suffices.
-            let priority = |_v: VertexId| 0u64;
-            for &v in &dead0 {
-                pf.push(v, 0);
-            }
-            let gather = |d: VertexId, c: u64| {
-                let i = d as usize;
-                if alive.get(i) == 1 {
-                    let nd = deg.get(i) - c as i64;
-                    deg.set(i, nd);
-                    if nd < k {
-                        alive.set(i, 0);
-                        return true;
-                    }
-                }
-                false
-            };
-            while let Some((bucket, batch)) = pf.pop_batch(opts.async_batch_max) {
-                let round = out_engine
-                    .edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority)
-                    .and_then(|()| {
-                        in_engine.edge_map_async_batch(
-                            &batch, bucket, &pf, &scatter, &gather, &cond, &priority,
-                        )
-                    });
-                pf.complete_batch();
-                round?;
-            }
-            debug_assert!(pf.is_quiescent(), "drained frontier must be quiescent");
-        }
     }
     Ok(to_original_order(out_engine.graph().layout(), alive, 1))
 }
@@ -204,14 +169,6 @@ mod tests {
         let (oe, ie) = engines(&g, 2);
         let alive = kcore(&oe, &ie, 4, ExecMode::Sync).unwrap();
         assert_eq!(alive.to_vec(), reference::kcore_alive(&g, 4));
-    }
-
-    #[test]
-    fn async_matches_reference_peel() {
-        let g = rmat(&RmatConfig::new(8));
-        let (oe, ie) = engines(&g, 1);
-        let alive = kcore(&oe, &ie, 3, ExecMode::Async).unwrap();
-        assert_eq!(alive.to_vec(), reference::kcore_alive(&g, 3));
     }
 
     #[test]

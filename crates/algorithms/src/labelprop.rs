@@ -4,7 +4,7 @@
 //! Unlike WCC this runs over *one* direction only and does no pointer
 //! jumping — it is the plain monotone-relaxation benchmark: labels start
 //! at each vertex's original id and min-relax along out-edges until the
-//! fixpoint, which is unique and therefore identical across all three
+//! fixpoint, which is unique and therefore identical across both
 //! execution modes and all physical layouts.
 
 use blaze_core::{BlazeEngine, VertexArray};
@@ -31,27 +31,6 @@ pub fn label_propagation(engine: &BlazeEngine, mode: ExecMode) -> Result<VertexA
     let cond = |_d: VertexId| true;
 
     match mode {
-        ExecMode::Async => {
-            let nb = engine.options().async_buckets as u64;
-            let seeds: Vec<VertexId> = (0..n as VertexId).collect();
-            // Small labels win the min-fixpoint; spread them first.
-            engine.edge_map_async(
-                &seeds,
-                scatter,
-                |d: VertexId, v: u32| {
-                    if v < labels.get(d as usize) {
-                        labels.set(d as usize, v);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                cond,
-                |v: VertexId| {
-                    u64::from(labels.get(v as usize)).saturating_mul(nb) / (n.max(1) as u64)
-                },
-            )?;
-        }
         ExecMode::Binned => {
             let mut frontier = VertexSubset::full(n);
             while !frontier.is_empty() {
@@ -124,15 +103,6 @@ mod tests {
         let e = engine(&g, 2);
         let labels = label_propagation(&e, ExecMode::Sync).unwrap();
         assert_eq!(labels.to_vec(), reference::labelprop_labels(&g));
-    }
-
-    #[test]
-    fn async_matches_reference() {
-        let g = rmat(&RmatConfig::new(8));
-        let e = engine(&g, 2);
-        let labels = label_propagation(&e, ExecMode::Async).unwrap();
-        assert_eq!(labels.to_vec(), reference::labelprop_labels(&g));
-        assert!(e.stats().async_rounds >= 1, "async mode must trace rounds");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`spmv()`](spmv::spmv) — Sparse Matrix-Vector multiplication,
 //! * [`bc()`](bc::bc) — Betweenness Centrality (Brandes), forward + backward sweeps.
 //!
-//! Three further monotone queries exercise the barrier-free path:
+//! Three further monotone queries:
 //!
 //! * [`sssp()`](sssp::sssp) — shortest paths over deterministic synthetic weights,
 //! * [`kcore()`](kcore::kcore) — k-core membership by confluent peeling,
@@ -17,11 +17,7 @@
 //! Every query runs in either execution mode ([`ExecMode::Binned`] online
 //! binning, or [`ExecMode::Sync`] compare-and-swap — the Figure 8 baseline)
 //! and has an in-memory reference implementation in [`reference`](mod@reference) used by
-//! the test suite to validate the out-of-core results. Monotone queries
-//! (BFS, WCC, SSSP, k-core, label propagation) additionally accept
-//! [`ExecMode::Async`]: the engine drops the per-iteration barrier and
-//! drains a priority frontier instead, converging to the same unique
-//! fixpoint the barriered modes reach.
+//! the test suite to validate the out-of-core results.
 //!
 //! All queries speak *original* vertex ids at the API boundary. Graphs
 //! written with a degree-aware physical layout run internally in physical
@@ -51,7 +47,7 @@ pub use bfs::bfs;
 pub use kcore::kcore;
 pub use labelprop::label_propagation;
 pub use mode::ExecMode;
-pub use pagerank::{pagerank_delta, pagerank_delta_combined, PageRankConfig};
+pub use pagerank::{pagerank_delta, PageRankConfig};
 pub use spmv::spmv;
 pub use sssp::sssp;
 pub use wcc::wcc;

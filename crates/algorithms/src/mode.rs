@@ -10,21 +10,14 @@ pub enum ExecMode {
     /// Synchronization-based variant (Figure 8b): scatter threads update
     /// vertex data directly with compare-and-swap.
     Sync,
-    /// Asynchronous priority-frontier execution: no per-iteration barrier;
-    /// gather workers feed newly-activated vertices straight back into a
-    /// bucketed priority frontier. Only *monotone* algorithms (BFS, SSSP,
-    /// WCC, k-core, label propagation) support it; they converge to results
-    /// bit-identical to their barriered oracle.
-    Async,
 }
 
 impl ExecMode {
-    /// Parses a `-mode` flag value. Accepts `binned`, `sync`, `async`.
+    /// Parses a `-mode` flag value. Accepts `binned` and `sync`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "binned" => Some(ExecMode::Binned),
             "sync" => Some(ExecMode::Sync),
-            "async" => Some(ExecMode::Async),
             _ => None,
         }
     }
@@ -35,7 +28,6 @@ impl std::fmt::Display for ExecMode {
         match self {
             ExecMode::Binned => write!(f, "binned"),
             ExecMode::Sync => write!(f, "sync"),
-            ExecMode::Async => write!(f, "async"),
         }
     }
 }

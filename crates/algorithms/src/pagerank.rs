@@ -38,37 +38,6 @@ pub fn pagerank_delta(
     config: PageRankConfig,
     mode: ExecMode,
 ) -> Result<VertexArray<f64>> {
-    run_pagerank(engine, config, mode, false)
-}
-
-/// [`pagerank_delta`] with scatter-side record combining (binned mode
-/// only): same-destination delta contributions inside one staging window
-/// are summed before they reach the bins, so hub vertices on power-law
-/// graphs cost one bin record per window instead of one per in-edge. The
-/// combine operator is the same addition `gather` performs, so ranks match
-/// the uncombined path up to floating-point summation order (the
-/// `combine_equivalence` property test pins exact agreement on
-/// integer-valued workloads).
-pub fn pagerank_delta_combined(
-    engine: &BlazeEngine,
-    config: PageRankConfig,
-) -> Result<VertexArray<f64>> {
-    run_pagerank(engine, config, ExecMode::Binned, true)
-}
-
-fn run_pagerank(
-    engine: &BlazeEngine,
-    config: PageRankConfig,
-    mode: ExecMode,
-    combined: bool,
-) -> Result<VertexArray<f64>> {
-    if mode == ExecMode::Async {
-        // Rank accumulation is not a monotone relaxation: applying a delta
-        // twice (a stale async re-delivery) changes the sum.
-        return Err(blaze_types::BlazeError::Config(
-            "pagerank is not monotone; async mode supports BFS/SSSP/WCC/k-core/labelprop".into(),
-        ));
-    }
     let n = engine.num_vertices();
     let graph = engine.graph().clone();
     let p = VertexArray::<f64>::new(n, 0.0);
@@ -94,9 +63,6 @@ fn run_pagerank(
             true
         };
         let touched = match mode {
-            ExecMode::Binned if combined => {
-                engine.edge_map_combined(&frontier, scatter, gather, |a, b| a + b, cond, true)?
-            }
             ExecMode::Binned => engine.edge_map(&frontier, scatter, gather, cond, true)?,
             ExecMode::Sync => engine.edge_map_sync(
                 &frontier,
@@ -108,7 +74,6 @@ fn run_pagerank(
                 cond,
                 true,
             )?,
-            ExecMode::Async => unreachable!("rejected at entry"),
         };
         // APPLYFILTER (Algorithm 2, lines 20-29).
         frontier = vertex_map(
@@ -181,20 +146,6 @@ mod tests {
         let p = pagerank_delta(&e, cfg, ExecMode::Sync).unwrap();
         let expect = reference::pagerank_delta(&g, cfg.damping, cfg.epsilon, cfg.max_iters);
         assert_close(&p.to_vec(), &expect, 1e-6);
-    }
-
-    #[test]
-    fn combined_matches_reference() {
-        let g = rmat(&RmatConfig::new(8));
-        let e = engine(&g, 2);
-        let cfg = PageRankConfig::default();
-        let p = pagerank_delta_combined(&e, cfg).unwrap();
-        let expect = reference::pagerank_delta(&g, cfg.damping, cfg.epsilon, cfg.max_iters);
-        assert_close(&p.to_vec(), &expect, 1e-6);
-        assert!(
-            e.stats().records_combined > 0,
-            "an R-MAT graph must combine some hub records"
-        );
     }
 
     #[test]

@@ -17,13 +17,6 @@ use crate::translate::to_original_order;
 /// returned `y`; on layouted graphs the vector is permuted into physical
 /// order for the edge map and the result permuted back.
 pub fn spmv(engine: &BlazeEngine, x: &[f64], mode: ExecMode) -> Result<VertexArray<f64>> {
-    if mode == ExecMode::Async {
-        // A sum over edges is not a monotone relaxation; every edge must be
-        // applied exactly once, which the barrier guarantees.
-        return Err(blaze_types::BlazeError::Config(
-            "spmv is not monotone; async mode supports BFS/SSSP/WCC/k-core/labelprop".into(),
-        ));
-    }
     let n = engine.num_vertices();
     assert_eq!(x.len(), n, "input vector must have one entry per vertex");
     let layout = engine.graph().layout();
@@ -58,7 +51,6 @@ pub fn spmv(engine: &BlazeEngine, x: &[f64], mode: ExecMode) -> Result<VertexArr
             cond,
             false,
         )?,
-        ExecMode::Async => unreachable!("rejected at entry"),
     };
     // Boundary translation out: y[orig(p)] = y_phys[p].
     Ok(to_original_order(layout, y, 0.0))

@@ -2,11 +2,8 @@
 //!
 //! The artifact's graph files carry no edge weights, so weights are derived
 //! from a fixed hash of the endpoint ids — every run (and every physical
-//! layout) sees the same weighted graph. Distances min-relax to the unique
-//! shortest-path fixpoint, which makes the algorithm monotone and therefore
-//! async-capable: [`ExecMode::Async`] drains a priority frontier bucketed
-//! by tentative distance, which is delta-stepping in the Blaze runtime —
-//! near-Dijkstra settle order without a priority queue in the hot path.
+//! layout) sees the same weighted graph. Distances min-relax, one
+//! Bellman-Ford superstep at a time, to the unique shortest-path fixpoint.
 
 use blaze_core::{BlazeEngine, VertexArray};
 use blaze_frontier::VertexSubset;
@@ -31,8 +28,8 @@ pub fn edge_weight(s: VertexId, d: VertexId) -> u64 {
 
 /// Out-of-core SSSP from `root`. Returns the distance array indexed by
 /// original vertex id ([`UNREACHED`] where no path exists); `root` is an
-/// original id too. All three modes converge to the same unique fixpoint,
-/// so the distances are bit-identical across modes.
+/// original id too. Both modes converge to the same unique fixpoint, so
+/// the distances are bit-identical across modes.
 pub fn sssp(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<VertexArray<u64>> {
     let layout = engine.graph().layout();
     let root = layout.to_physical(root);
@@ -48,29 +45,6 @@ pub fn sssp(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Vert
     let cond = |_d: VertexId| true;
 
     match mode {
-        ExecMode::Async => {
-            // Delta-stepping: buckets are distance bands of width DELTA
-            // (the maximum edge weight), so a drained batch is a whole
-            // band — near-Dijkstra settle order without fragmenting the
-            // page access stream into one round per distance value. Far
-            // bands saturate into the last bucket and re-bucket as the
-            // frontier advances.
-            const DELTA: u64 = 8;
-            engine.edge_map_async(
-                &[root],
-                scatter,
-                |d: VertexId, cand: u64| {
-                    if cand < dist.get(d as usize) {
-                        dist.set(d as usize, cand);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                cond,
-                |v: VertexId| dist.get(v as usize) / DELTA,
-            )?;
-        }
         ExecMode::Binned => {
             let mut frontier = VertexSubset::single(n, root);
             while !frontier.is_empty() {
@@ -159,15 +133,6 @@ mod tests {
         let e = engine(&g, 2);
         let dist = sssp(&e, 3, ExecMode::Sync).unwrap();
         assert_eq!(dist.to_vec(), reference::sssp_distances(&g, 3));
-    }
-
-    #[test]
-    fn async_matches_dijkstra() {
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2);
-        let dist = sssp(&e, 0, ExecMode::Async).unwrap();
-        assert_eq!(dist.to_vec(), reference::sssp_distances(&g, 0));
-        assert!(e.stats().async_rounds >= 1, "async mode must trace rounds");
     }
 
     #[test]

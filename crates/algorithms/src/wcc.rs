@@ -5,7 +5,7 @@
 use blaze_sync::Arc;
 
 use blaze_core::{vertex_map, BlazeEngine, VertexArray};
-use blaze_frontier::{PriorityFrontier, VertexSubset};
+use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
 use crate::mode::ExecMode;
@@ -35,14 +35,6 @@ pub fn wcc(
     for v in 0..n {
         ids.set(v, v as u32);
         prev_ids.set(v, v as u32);
-    }
-
-    if mode == ExecMode::Async {
-        run_async(out_engine, in_engine, &ids, n)?;
-        // panic-audit: run_async's closures borrow the Arc clone only for
-        // the duration of the call; by here this is the sole owner.
-        let ids = Arc::try_unwrap(ids).expect("async path holds the only Arc");
-        return Ok(canonicalize_labels(out_engine.graph().layout(), ids));
     }
 
     let mut frontier = VertexSubset::full(n);
@@ -87,52 +79,6 @@ pub fn wcc(
         copy
     });
     Ok(canonicalize_labels(out_engine.graph().layout(), ids))
-}
-
-/// Barrier-free WCC: every vertex seeds one shared priority frontier
-/// (bucketed by scaled label — small labels spread first, since they are
-/// the ones that survive the min-fixpoint), and each drained batch scatters
-/// over *both* directions before completing, so labels flow along the
-/// undirected view exactly as in the barriered rounds. No pointer jumping:
-/// quiescence of the frontier *is* the fixpoint, and min-label relaxation
-/// is order-independent, so the converged labels — the minimum physical id
-/// per component — are bit-identical to the barriered modes'.
-fn run_async(
-    out_engine: &BlazeEngine,
-    in_engine: &BlazeEngine,
-    ids: &Arc<VertexArray<u32>>,
-    n: usize,
-) -> Result<()> {
-    let opts = out_engine.options();
-    let nb = opts.async_buckets as u64;
-    let pf = PriorityFrontier::new(n, opts.async_buckets);
-    let priority =
-        |v: VertexId| u64::from(ids.get(v as usize)).saturating_mul(nb) / (n.max(1) as u64);
-    for v in 0..n as u32 {
-        pf.push(v, priority(v));
-    }
-    let scatter = |s: VertexId, _d: VertexId| ids.get(s as usize);
-    let gather = |d: VertexId, v: u32| {
-        if v < ids.get(d as usize) {
-            ids.set(d as usize, v);
-            true
-        } else {
-            false
-        }
-    };
-    let cond = |_d: VertexId| true;
-    while let Some((bucket, batch)) = pf.pop_batch(opts.async_batch_max) {
-        let round = out_engine
-            .edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority)
-            .and_then(|()| {
-                in_engine
-                    .edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority)
-            });
-        pf.complete_batch();
-        round?;
-    }
-    debug_assert!(pf.is_quiescent(), "drained frontier must be quiescent");
-    Ok(())
 }
 
 /// Boundary translation for WCC. Propagation converges to the minimum
@@ -202,7 +148,6 @@ fn run_direction(
             cond,
             true,
         ),
-        ExecMode::Async => unreachable!("async WCC runs through run_async"),
     }
 }
 
@@ -247,16 +192,6 @@ mod tests {
         let (oe, ie) = engines(&g, 2);
         let ids = wcc(&oe, &ie, ExecMode::Sync).unwrap();
         assert_eq!(ids.to_vec(), reference::wcc_labels(&g));
-    }
-
-    #[test]
-    fn async_mode_matches_union_find() {
-        let g = rmat(&RmatConfig::new(8));
-        let (oe, ie) = engines(&g, 1);
-        let ids = wcc(&oe, &ie, ExecMode::Async).unwrap();
-        assert_eq!(ids.to_vec(), reference::wcc_labels(&g));
-        assert!(oe.stats().async_rounds >= 1);
-        assert!(ie.stats().async_rounds >= 1, "both directions run async");
     }
 
     #[test]

@@ -8,12 +8,21 @@
 //! Graph shapes: random edge sets, a zero-degree prefix, a super-vertex
 //! hub absorbing most edges, and generated R-MAT graphs — the degree
 //! sequences the layouts were designed around.
+//!
+//! The same generator pins the two ways a value propagates to each other:
+//! binned and CAS runs of every query with a unique answer must equal the
+//! reference bit for bit, on the super-vertex shape (nearly every record
+//! into one bin, nearly every CAS on one word) as on the others, with and
+//! without a layout.
 
 use std::path::Path;
 
 use proptest::prelude::*;
 
-use blaze_algorithms::{bc, bfs, pagerank_delta, reference, spmv, wcc, ExecMode, PageRankConfig};
+use blaze_algorithms::{
+    bc, bfs, kcore, label_propagation, pagerank_delta, reference, spmv, sssp, wcc, ExecMode,
+    PageRankConfig,
+};
 use blaze_core::{BlazeEngine, EngineOptions};
 use blaze_graph::disk::{save_files_with_layout, LayoutMeta};
 use blaze_graph::gen::{rmat, RmatConfig};
@@ -196,6 +205,58 @@ proptest! {
         }
     }
 
+    /// Binned = CAS = reference, exactly, for the six queries whose answer
+    /// is unique (BFS by its levels; SpMV on an integer-valued vector,
+    /// where f64 sums do not depend on order), without a layout and with
+    /// one.
+    #[test]
+    fn binned_and_cas_match_the_reference_exactly(
+        g in arb_graph(), root in 0..N, k in 1u32..5, seed in 0u64..1000,
+    ) {
+        let x: Vec<f64> = (0..g.num_vertices())
+            .map(|i| ((i as u64).wrapping_mul(seed + 1) % 17) as f64)
+            .collect();
+        for layout in [VertexLayout::None, VertexLayout::Degree] {
+            let e = engine_with_layout(&g, layout);
+            let dir = tempfile::tempdir().unwrap();
+            let (oe, ie) = engine_pair_with_layout(&g, layout, dir.path());
+            for mode in [ExecMode::Binned, ExecMode::Sync] {
+                let what = format!("{mode} mode, {} layout", layout.name());
+                let parent = bfs(&e, root, mode).unwrap().to_vec();
+                prop_assert_eq!(
+                    levels_from_parents(&parent, root),
+                    reference::bfs_levels(&g, root),
+                    "bfs, {}", what
+                );
+                prop_assert_eq!(
+                    sssp(&e, root, mode).unwrap().to_vec(),
+                    reference::sssp_distances(&g, root),
+                    "sssp, {}", what
+                );
+                prop_assert_eq!(
+                    label_propagation(&e, mode).unwrap().to_vec(),
+                    reference::labelprop_labels(&g),
+                    "lp, {}", what
+                );
+                prop_assert_eq!(
+                    spmv(&e, &x, mode).unwrap().to_vec(),
+                    reference::spmv(&g, &x),
+                    "spmv, {}", what
+                );
+                prop_assert_eq!(
+                    wcc(&oe, &ie, mode).unwrap().to_vec(),
+                    reference::wcc_labels(&g),
+                    "wcc, {}", what
+                );
+                prop_assert_eq!(
+                    kcore(&oe, &ie, k, mode).unwrap().to_vec(),
+                    reference::kcore_alive(&g, i64::from(k)),
+                    "kcore, {}", what
+                );
+            }
+        }
+    }
+
     /// BC dependency scores agree to 1e-9 under every layout.
     #[test]
     fn bc_scores_are_layout_invariant(g in arb_graph(), root in 0..N) {
@@ -210,7 +271,8 @@ proptest! {
 }
 
 /// R-MAT graphs (power-law, the shape the layouts target): BFS levels,
-/// WCC labels, and PageRank all layout-invariant at scale 8.
+/// WCC labels, PageRank, SSSP distances, propagation labels and k-core
+/// membership all layout-invariant at scale 8.
 #[test]
 fn rmat_queries_are_layout_invariant() {
     let g = rmat(&RmatConfig::new(8));
@@ -235,5 +297,24 @@ fn rmat_queries_are_layout_invariant() {
         let (oe, ie) = engine_pair_with_layout(&g, layout, dir.path());
         let ids = wcc(&oe, &ie, ExecMode::Binned).unwrap().to_vec();
         assert_eq!(ids, wcc_want, "wcc labels under {} layout", layout.name());
+        // The three monotone queries, by CAS, on the power-law shape.
+        assert_eq!(
+            sssp(&e, 0, ExecMode::Sync).unwrap().to_vec(),
+            reference::sssp_distances(&g, 0),
+            "sssp under {} layout",
+            layout.name()
+        );
+        assert_eq!(
+            label_propagation(&e, ExecMode::Sync).unwrap().to_vec(),
+            reference::labelprop_labels(&g),
+            "lp under {} layout",
+            layout.name()
+        );
+        assert_eq!(
+            kcore(&oe, &ie, 3, ExecMode::Sync).unwrap().to_vec(),
+            reference::kcore_alive(&g, 3),
+            "kcore under {} layout",
+            layout.name()
+        );
     }
 }

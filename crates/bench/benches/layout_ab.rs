@@ -1,19 +1,17 @@
 //! Layout A/B: does the degree-aware physical layout earn its keep on the
 //! page cache?
 //!
-//! Runs multi-iteration PageRank (with scatter-side combining) and BFS on
-//! sk2005 under three cache budgets, once per layout (`none`, `degree`,
-//! `hub`). PageRank's sparse late iterations concentrate their re-reads;
+//! Runs multi-iteration PageRank and BFS on sk2005 under three cache
+//! budgets, once per layout (`none`, `degree`, `hub`). PageRank's sparse late iterations concentrate their re-reads;
 //! packing vertices by degree shrinks the page footprint of those re-read
 //! sets, so at the largest budget (half the page set) the degree layout
 //! shows a higher hit ratio and fewer device bytes than `none` on the
 //! typical run — that row carries the asserts, the rest are reported.
 //! BFS rows are reported unasserted: sk2005 ships in BFS-friendly order,
 //! so reordering can legitimately cost BFS locality — that trade-off is
-//! exactly what this table documents. The combine-rate column tracks how
-//! the layout shifts scatter-side record combining.
+//! exactly what this table documents.
 
-use blaze_algorithms::{bfs, pagerank_delta_combined, ExecMode, PageRankConfig};
+use blaze_algorithms::{bfs, pagerank_delta, ExecMode, PageRankConfig};
 use blaze_bench::datasets::{prepare, scale_from_env};
 use blaze_bench::report::{print_table, write_csv};
 use blaze_core::{BlazeEngine, EngineOptions};
@@ -35,7 +33,6 @@ struct Run {
     misses: u64,
     hot_hits: u64,
     hot_admits: u64,
-    combine_rate: f64,
     wall: f64,
 }
 
@@ -66,10 +63,8 @@ fn run_query(
         misses: 0,
         hot_hits: 0,
         hot_admits: 0,
-        combine_rate: 0.0,
         wall: f64::INFINITY,
     };
-    let (mut combined, mut produced) = (0u64, 0u64);
     for _ in 0..TRIALS {
         let e = engine(g, layout, cache_bytes);
         let t0 = std::time::Instant::now();
@@ -79,7 +74,7 @@ fn run_query(
                     max_iters: ITERS,
                     ..Default::default()
                 };
-                pagerank_delta_combined(&e, config).expect("pagerank");
+                pagerank_delta(&e, config, ExecMode::Binned).expect("pagerank");
             }
             _ => {
                 bfs(&e, 0, ExecMode::Binned).expect("bfs");
@@ -92,11 +87,6 @@ fn run_query(
         pooled.misses += stats.cache_miss_pages;
         pooled.hot_hits += stats.cache_hot_hit_pages;
         pooled.hot_admits += stats.cache_hot_admits;
-        combined += stats.records_combined;
-        produced += stats.records_produced;
-    }
-    if produced + combined > 0 {
-        pooled.combine_rate = combined as f64 / (produced + combined) as f64;
     }
     pooled
 }
@@ -128,12 +118,9 @@ fn main() {
             let mut baseline: Option<Run> = None;
             for layout in layouts {
                 let r = run_query(&g, layout, budget, query);
-                let (io_delta, combine_delta) = match &baseline {
-                    Some(b) => (
-                        100.0 * (1.0 - r.io_bytes as f64 / b.io_bytes.max(1) as f64),
-                        100.0 * (r.combine_rate - b.combine_rate),
-                    ),
-                    None => (0.0, 0.0),
+                let io_delta = match &baseline {
+                    Some(b) => 100.0 * (1.0 - r.io_bytes as f64 / b.io_bytes.max(1) as f64),
+                    None => 0.0,
                 };
                 // Asserted at the largest budget, where cache policy (not
                 // raw capacity starvation) decides what stays. The hot-path
@@ -175,9 +162,7 @@ fn main() {
                     r.io_bytes.to_string(),
                     format!("{:.4}", hit_ratio(&r)),
                     r.hot_hits.to_string(),
-                    format!("{:.2}%", 100.0 * r.combine_rate),
                     format!("{io_delta:+.1}%"),
-                    format!("{combine_delta:+.1}pp"),
                     format!("{:.3}", r.wall),
                 ]);
                 if layout == VertexLayout::None {
@@ -196,9 +181,7 @@ fn main() {
             "io bytes",
             "hit ratio",
             "hot hits",
-            "combine",
             "io vs none",
-            "combine vs none",
             "wall s",
         ],
         &rows,
@@ -212,9 +195,7 @@ fn main() {
             "io_bytes",
             "hit_ratio",
             "hot_hits",
-            "combine_rate",
             "io_delta_vs_none",
-            "combine_delta_pp",
             "wall_s",
         ],
         &rows,

@@ -5,14 +5,6 @@
 //! staging buffer fills, its records are copied into the shared bin in one
 //! batch. This is the propagation-blocking trick that amortizes the bin
 //! lock over ~64 records.
-//!
-//! When the query's gather operator is associative, the staging window
-//! doubles as a combiner ([`ScatterStaging::push_combined`]): a record
-//! whose destination is already staged for the same bin merges in place
-//! instead of occupying a new slot, so repeated targets (the heavy heads
-//! of a power-law in-degree distribution) collapse before they ever touch
-//! the shared bin — the update-log reduction BigSparse applies before its
-//! vertex-array pass.
 
 use blaze_types::VertexId;
 
@@ -24,8 +16,6 @@ use crate::space::BinSpace;
 pub struct ScatterStaging<V> {
     buffers: Vec<Vec<BinRecord<V>>>,
     capacity: usize,
-    /// Records merged away by [`push_combined`](Self::push_combined).
-    combined: u64,
 }
 
 impl<V: BinValue> ScatterStaging<V> {
@@ -36,11 +26,7 @@ impl<V: BinValue> ScatterStaging<V> {
         let buffers = (0..space.bin_count())
             .map(|_| Vec::with_capacity(capacity))
             .collect();
-        Self {
-            buffers,
-            capacity,
-            combined: 0,
-        }
+        Self { buffers, capacity }
     }
 
     /// Stages one record; flushes its bin's staging buffer to `space` when
@@ -54,40 +40,6 @@ impl<V: BinValue> ScatterStaging<V> {
             space.append_batch(bin, buf);
             buf.clear();
         }
-    }
-
-    /// Stages one record, merging it into an already-staged record for the
-    /// same destination via `combine` when one exists.
-    ///
-    /// `combine` must be associative and insensitive to argument order for
-    /// the combined result to match the uncombined gather sequence; the
-    /// staged record's value is passed first, the incoming value second.
-    /// Only the current staging window (at most `staging_records` entries,
-    /// all cache-resident) is scanned, so a miss costs one short linear
-    /// probe and never touches the shared bin.
-    #[inline]
-    pub fn push_combined<F>(&mut self, space: &BinSpace<V>, dst: VertexId, value: V, combine: &F)
-    where
-        F: Fn(V, V) -> V,
-    {
-        let bin = space.bin_of(dst);
-        let buf = &mut self.buffers[bin];
-        if let Some(r) = buf.iter_mut().find(|r| r.dst == dst) {
-            r.value = combine(r.value, value);
-            self.combined += 1;
-            return;
-        }
-        buf.push(BinRecord::new(dst, value));
-        if buf.len() == self.capacity {
-            space.append_batch(bin, buf);
-            buf.clear();
-        }
-    }
-
-    /// Records merged away by combining since construction (pre-combine
-    /// minus post-combine record count).
-    pub fn records_combined(&self) -> u64 {
-        self.combined
     }
 
     /// Flushes every non-empty staging buffer. Must be called before a
@@ -149,45 +101,6 @@ mod tests {
         let mut got = 0;
         while space.process_one_full(|_, r| got += r.len()) {}
         assert_eq!(got, 10);
-    }
-
-    #[test]
-    fn combine_merges_same_destination_in_window() {
-        let space = space(2, 4);
-        let mut st = ScatterStaging::new(&space);
-        let add = |a: u32, b: u32| a + b;
-        // Three hits on dst 0 collapse into one staged record.
-        st.push_combined(&space, 0, 1, &add);
-        st.push_combined(&space, 0, 10, &add);
-        st.push_combined(&space, 0, 100, &add);
-        st.push_combined(&space, 2, 5, &add);
-        assert_eq!(st.staged(), 2);
-        assert_eq!(st.records_combined(), 2);
-        st.flush(&space);
-        space.flush_partials();
-        let mut got = Vec::new();
-        while space.process_one_full(|_, r| got.extend(r.iter().map(|r| (r.dst, r.value)))) {}
-        got.sort_unstable();
-        assert_eq!(got, vec![(0, 111), (2, 5)]);
-    }
-
-    #[test]
-    fn combine_window_resets_after_flush() {
-        // Once a staging buffer flushes to the bin, a later record for the
-        // same dst starts a fresh entry — combining is window-local.
-        let space = space(1, 2);
-        let mut st = ScatterStaging::new(&space);
-        let add = |a: u32, b: u32| a + b;
-        st.push_combined(&space, 0, 1, &add);
-        st.push_combined(&space, 1, 1, &add); // fills the window, flushes
-        st.push_combined(&space, 0, 1, &add);
-        assert_eq!(st.staged(), 1, "post-flush dst 0 staged anew");
-        assert_eq!(st.records_combined(), 0);
-        st.flush(&space);
-        space.flush_partials();
-        let mut total = 0u32;
-        while space.process_one_full(|_, r| total += r.iter().map(|r| r.value).sum::<u32>()) {}
-        assert_eq!(total, 3, "no update lost across the window boundary");
     }
 
     #[test]

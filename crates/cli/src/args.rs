@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use blaze_algorithms::ExecMode;
-use blaze_types::{BlazeError, Result};
+use blaze_types::{BlazeError, Result, MAX_JOBS};
 
 /// Parsed command line shared by all query binaries.
 #[derive(Debug, Clone)]
@@ -28,7 +28,8 @@ pub struct CliArgs {
     /// Concurrent queries submitted to one engine (`-jobs`, default 1):
     /// `bfs` runs this many copies of the query from separate threads
     /// against the shared persistent runtime. The other binaries refuse
-    /// a value above 1 ([`parse_for`]).
+    /// a value above 1 ([`parse_for`]), and none takes more than
+    /// [`MAX_JOBS`]: each job is a query thread and an IO lane a device.
     pub jobs: usize,
     /// Clock page-cache budget in bytes (`-cache-mb`, given in MiB; default
     /// 0 = no cache, matching the published system).
@@ -39,12 +40,7 @@ pub struct CliArgs {
     /// a simulated device; `-qd 1` = the published engine's request
     /// stream, one read at a time in submission order.
     pub queue_depth: Option<usize>,
-    /// Enable scatter-side record combining (`-combine`; PageRank only —
-    /// same-destination delta records merge in the staging window before
-    /// reaching the bins). Binned mode only ([`parse_for`]).
-    pub combine: bool,
-    /// Execution mode (`-mode binned|sync|async`, default binned). Async
-    /// is accepted only by the monotone queries.
+    /// Execution mode (`-mode binned|sync`, default binned).
     pub mode: ExecMode,
     /// Core threshold for the k-core query (`-k`, default 2).
     pub k: u32,
@@ -76,7 +72,6 @@ impl Default for CliArgs {
             jobs: 1,
             cache_bytes: 0,
             queue_depth: None,
-            combine: false,
             mode: ExecMode::Binned,
             k: 2,
             no_share: false,
@@ -161,6 +156,9 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
             }
             "-jobs" => {
                 out.jobs = parse_count("-jobs", it.next(), 1)?;
+                if out.jobs > MAX_JOBS {
+                    return Err(BlazeError::Config(format!("-jobs must be <= {MAX_JOBS}")));
+                }
             }
             "-cache-mb" => {
                 out.cache_bytes = parse_mib("-cache-mb", it.next())?;
@@ -171,9 +169,6 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
             "-k" => {
                 out.k = parse_count("-k", it.next(), 1)? as u32;
             }
-            "-combine" => {
-                out.combine = true;
-            }
             "-no-share" => {
                 // A repeat means a mangled command line (probably meant to
                 // toggle something else); reject like the dataset tools do.
@@ -183,7 +178,7 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
             "-mode" => {
                 let v = it.next().ok_or_else(|| missing("-mode"))?;
                 out.mode = ExecMode::parse(v).ok_or_else(|| {
-                    BlazeError::Config(format!("unknown -mode {v} (expected binned|sync|async)"))
+                    BlazeError::Config(format!("unknown -mode {v} (expected binned|sync)"))
                 })?;
             }
             "-device" => {
@@ -221,20 +216,13 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
 
 /// [`parse`] for the `query` binary. Flags that parse but that the binary
 /// would accept and then not act on are a usage error, not a silent no-op:
-/// only `bfs` submits `-jobs` copies of its query, and `-combine` exists
-/// in the binned pipeline alone.
+/// only `bfs` submits `-jobs` copies of its query.
 pub fn parse_for(query: &str, args: &[String]) -> Result<CliArgs> {
     let out = parse(args)?;
     if out.jobs > 1 && query != "bfs" {
         return Err(BlazeError::Config(format!(
             "-jobs {} is not supported by {query} (only bfs runs concurrent jobs)",
             out.jobs
-        )));
-    }
-    if out.combine && out.mode != ExecMode::Binned {
-        return Err(BlazeError::Config(format!(
-            "-combine cannot be given with -mode {} (records combine in the binned pipeline only)",
-            out.mode
         )));
     }
     Ok(out)
@@ -289,6 +277,13 @@ mod tests {
         assert_eq!(a.jobs, 4);
         assert_eq!(parse(&args("g.gr.index g.gr.adj.0")).unwrap().jobs, 1);
         assert!(parse(&args("-jobs 0 g.gr.index g.gr.adj.0")).is_err());
+        let at = format!("-jobs {MAX_JOBS} g.gr.index g.gr.adj.0");
+        assert_eq!(parse(&args(&at)).unwrap().jobs, MAX_JOBS);
+        let over = format!("-jobs {} g.gr.index g.gr.adj.0", MAX_JOBS + 1);
+        assert_eq!(
+            parse(&args(&over)).unwrap_err().to_string(),
+            format!("configuration error: -jobs must be <= {MAX_JOBS}")
+        );
     }
 
     #[test]
@@ -320,25 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_combine_flag() {
-        let a = parse(&args("-combine g.gr.index g.gr.adj.0")).unwrap();
-        assert!(a.combine);
-        assert!(!parse(&args("g.gr.index g.gr.adj.0")).unwrap().combine);
-    }
-
-    #[test]
     fn parses_mode_flag() {
-        let a = parse(&args("-mode async g.gr.index g.gr.adj.0")).unwrap();
-        assert_eq!(a.mode, ExecMode::Async);
         let a = parse(&args("-mode sync g.gr.index g.gr.adj.0")).unwrap();
         assert_eq!(a.mode, ExecMode::Sync);
         let a = parse(&args("g.gr.index g.gr.adj.0")).unwrap();
         assert_eq!(a.mode, ExecMode::Binned);
         let err = parse(&args("-mode turbo g.gr.index g.gr.adj.0")).unwrap_err();
-        assert!(
-            err.to_string().contains("expected binned|sync|async"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("expected binned|sync"), "{err}");
         assert!(parse(&args("-mode")).is_err());
     }
 

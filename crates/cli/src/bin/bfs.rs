@@ -19,9 +19,7 @@
 //! which is also what a simulated `-device` gets without the flag, so that
 //! its modeled time depends on the input alone.
 //!
-//! `-mode binned|sync|async` picks the execution mode; `async` drops the
-//! per-iteration barrier and drains a priority frontier bucketed by BFS
-//! level.
+//! `-mode binned|sync` picks the execution mode.
 
 use std::thread;
 

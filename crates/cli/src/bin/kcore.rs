@@ -1,7 +1,7 @@
 //! Artifact-style k-core binary. Requires the transpose via
 //! `-inIndexFilename` / `-inAdjFilenames` (degrees and peeling run over
 //! the undirected view). `-k N` sets the core threshold (default 2);
-//! `-mode binned|sync|async` picks the execution mode.
+//! `-mode binned|sync` picks the execution mode.
 
 fn main() {
     let cli = blaze_cli::parse_env("kcore");

@@ -1,6 +1,6 @@
 //! Artifact-style forward label-propagation binary: every vertex converges
 //! to the minimum original id among itself and its directed ancestors.
-//! `-mode binned|sync|async` picks the execution mode.
+//! `-mode binned|sync` picks the execution mode.
 
 fn main() {
     let cli = blaze_cli::parse_env("lp");

@@ -2,13 +2,10 @@
 //!
 //! `-cache-mb N` gives the IO workers a clock page cache of N MiB
 //! (default 0 = no cache); PageRank's repeated near-full scans are where
-//! a warm cache saves the most device bytes. `-combine` merges
-//! same-destination delta records in the scatter staging windows before
-//! they reach the bins (the summary's "records combined" count); it is a
-//! variant of the binned pipeline, so it cannot be given with `-mode sync`
-//! or `-mode async`.
+//! a warm cache saves the most device bytes. `-mode binned|sync` picks the
+//! execution mode.
 
-use blaze_algorithms::{pagerank_delta, pagerank_delta_combined, PageRankConfig};
+use blaze_algorithms::{pagerank_delta, PageRankConfig};
 
 fn main() {
     let cli = blaze_cli::parse_env("pr");
@@ -19,13 +16,8 @@ fn main() {
     let engine = blaze_cli::open_engine(&cli, &cli.index, &cli.adj)
         .unwrap_or_else(|e| blaze_cli::exit_with("pr", &e));
     let t0 = std::time::Instant::now();
-    let result = if cli.combine {
-        pagerank_delta_combined(&engine, config)
-    } else {
-        // Non-monotone: -mode async comes back as a config error here.
-        pagerank_delta(&engine, config, cli.mode)
-    };
-    let ranks = result.unwrap_or_else(|e| blaze_cli::exit_with("pr", &e));
+    let ranks = pagerank_delta(&engine, config, cli.mode)
+        .unwrap_or_else(|e| blaze_cli::exit_with("pr", &e));
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("pr", &engine, wall);
     let top = (0..engine.num_vertices())

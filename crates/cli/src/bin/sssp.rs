@@ -1,12 +1,10 @@
 //! Artifact-style SSSP binary over deterministic synthetic edge weights.
 //!
 //! ```sh
-//! sssp -startNode 0 -mode async rmat27.gr.index rmat27.gr.adj.0
+//! sssp -startNode 0 -mode sync rmat27.gr.index rmat27.gr.adj.0
 //! ```
 //!
-//! `-mode binned|sync|async` picks the execution mode; `async` is the
-//! delta-stepping-flavoured configuration — the priority frontier buckets
-//! vertices by tentative distance so near vertices settle first.
+//! `-mode binned|sync` picks the execution mode.
 
 fn main() {
     let cli = blaze_cli::parse_env("sssp");

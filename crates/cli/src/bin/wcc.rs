@@ -1,7 +1,7 @@
 //! Artifact-style WCC binary. Requires the transpose via
 //! `-inIndexFilename` / `-inAdjFilenames`. `-cache-mb N` gives each
 //! direction's IO workers a clock page cache of N MiB (default 0).
-//! `-mode binned|sync|async` picks the execution mode.
+//! `-mode binned|sync` picks the execution mode.
 
 fn main() {
     let cli = blaze_cli::parse_env("wcc");

@@ -195,21 +195,14 @@ pub fn print_run_summary(query: &str, engine: &BlazeEngine, wall: std::time::Dur
             stats.shared_hit_pages, stats.shared_bytes, stats.flights_led
         );
     }
-    if stats.async_rounds > 0 {
-        println!(
-            "async: {} rounds, {} activations, {} dedup-skipped pushes",
-            stats.async_rounds, stats.async_activations, stats.async_dedup_skipped
-        );
-    }
     if stats.scatter_ns > 0 || stats.gather_ns > 0 {
         // Per-stage compute profile: worker-summed busy time, so totals can
         // exceed wall time when several workers overlap.
         println!(
-            "compute: scatter {:.3} s, gather {:.3} s, io wait {:.3} s, {} records combined",
+            "compute: scatter {:.3} s, gather {:.3} s, io wait {:.3} s",
             stats.scatter_ns as f64 / 1e9,
             stats.gather_ns as f64 / 1e9,
-            stats.io_wait_ns as f64 / 1e9,
-            stats.records_combined
+            stats.io_wait_ns as f64 / 1e9
         );
     }
     let busy_ns: u64 = graph
@@ -345,7 +338,6 @@ mod tests {
         let stats = engine.stats();
         assert!(stats.scatter_ns > 0, "scatter time must be recorded");
         assert!(stats.gather_ns > 0, "gather time must be recorded");
-        assert_eq!(stats.records_combined, 0, "uncombined run combines nothing");
     }
 
     #[test]

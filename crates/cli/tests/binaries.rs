@@ -194,10 +194,10 @@ fn bad_flags_exit_nonzero() {
     assert!(!ok);
 }
 
-/// The monotone queries give identical result lines in every execution
-/// mode — async included — and the async runs advertise their rounds.
+/// The monotone queries give identical result lines in both execution
+/// modes.
 #[test]
-fn async_mode_matches_binned_for_monotone_binaries() {
+fn sync_mode_matches_binned_for_monotone_binaries() {
     let dir = tempfile::tempdir().unwrap();
     let (index, adj0, adj1, tindex) = gen_graph(dir.path());
     let tadj = format!(
@@ -221,39 +221,83 @@ fn async_mode_matches_binned_for_monotone_binaries() {
         (env!("CARGO_BIN_EXE_kcore"), "-core", true),
     ] {
         let mut results = Vec::new();
-        for mode in ["binned", "sync", "async"] {
+        for mode in ["binned", "sync"] {
             let mut args = vec!["-mode", mode, &index, &adj0, &adj1];
             if extra {
                 args.extend(["-inIndexFilename", &tindex, "-inAdjFilenames", &tadj]);
             }
             let (ok, text) = run(bin, &args);
             assert!(ok, "{bin} -mode {mode} failed: {text}");
-            if mode == "async" {
-                assert!(text.contains("async:"), "{bin} async summary line: {text}");
-            }
             results.push(result_line(&text, key));
         }
         assert_eq!(results[0], results[1], "{bin}: sync differs from binned");
-        assert_eq!(results[0], results[2], "{bin}: async differs from binned");
     }
 }
 
-/// Non-monotone queries refuse -mode async with a clear diagnostic.
+/// The eight query binaries, for the flags every one of them must refuse.
+const QUERY_BINS: [&str; 8] = [
+    env!("CARGO_BIN_EXE_bfs"),
+    env!("CARGO_BIN_EXE_pr"),
+    env!("CARGO_BIN_EXE_wcc"),
+    env!("CARGO_BIN_EXE_spmv"),
+    env!("CARGO_BIN_EXE_bc"),
+    env!("CARGO_BIN_EXE_sssp"),
+    env!("CARGO_BIN_EXE_kcore"),
+    env!("CARGO_BIN_EXE_lp"),
+];
+
+/// Barrier-free execution is gone (DESIGN §13): `-mode async` is an unknown
+/// mode to every query binary, not a mode some of them refuse.
 #[test]
-fn async_mode_is_rejected_by_non_monotone_binaries() {
+fn async_mode_is_refused_by_every_query_binary() {
     let dir = tempfile::tempdir().unwrap();
     let (index, adj0, adj1, _) = gen_graph(dir.path());
-    for bin in [env!("CARGO_BIN_EXE_pr"), env!("CARGO_BIN_EXE_spmv")] {
-        let (ok, text) = run(bin, &["-mode", "async", &index, &adj0, &adj1]);
-        assert!(!ok, "{bin} must reject -mode async");
-        assert!(text.contains("not monotone"), "{text}");
+    for bin in QUERY_BINS {
+        let (code, text) = run_watched(bin, &["-mode", "async", &index, &adj0, &adj1]);
+        assert_eq!(code, Some(2), "{bin}: {text}");
+        assert!(
+            text.contains("unknown -mode async (expected binned|sync)"),
+            "{bin}: {text}"
+        );
     }
-    let (ok, text) = run(
-        env!("CARGO_BIN_EXE_bfs"),
-        &["-mode", "turbo", &index, &adj0],
-    );
-    assert!(!ok);
-    assert!(text.contains("expected binned|sync|async"), "{text}");
+}
+
+/// Scatter-side combining is gone (DESIGN §10): `-combine` is an unknown
+/// flag, not one that is read and then ignored.
+#[test]
+fn combine_flag_is_refused_by_every_query_binary() {
+    let dir = tempfile::tempdir().unwrap();
+    let (index, adj0, adj1, _) = gen_graph(dir.path());
+    for bin in QUERY_BINS {
+        let (code, text) = run_watched(bin, &["-combine", &index, &adj0, &adj1]);
+        assert_eq!(code, Some(2), "{bin}: {text}");
+        assert!(text.contains("unknown flag -combine"), "{bin}: {text}");
+    }
+}
+
+/// A destination id past the vertex count, which would index out of the
+/// query's vertex arrays, ends `bfs` (scatter applies it under `-mode
+/// sync`) and `pr` (gather applies it) with a format error, not a panic.
+#[test]
+fn out_of_range_destination_is_a_format_error() {
+    let dir = tempfile::tempdir().unwrap();
+    let (index, adj0, adj1, _) = gen_graph(dir.path());
+    let mut bytes = std::fs::read(&adj0).unwrap();
+    bytes[..4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+    std::fs::write(&adj0, &bytes).unwrap();
+    for bin in [env!("CARGO_BIN_EXE_bfs"), env!("CARGO_BIN_EXE_pr")] {
+        for mode in ["binned", "sync"] {
+            let (code, text) = run_watched(
+                bin,
+                &["-mode", mode, "-maxIters", "2", &index, &adj0, &adj1],
+            );
+            assert_eq!(code, Some(1), "{bin} -mode {mode}: {text}");
+            assert!(
+                text.contains("format error") && text.contains("vertex 2147483647"),
+                "{bin} -mode {mode}: {text}"
+            );
+        }
+    }
 }
 
 /// Repeated value-taking flags are a usage error (exit 2) for both dataset
@@ -477,27 +521,8 @@ fn assert_usage_error(bin: &str, args: &[&str], naming: &[&str]) {
     }
 }
 
-// A flag the binary would accept and then not act on is refused: the
-// combined PageRank is a binned run whatever `-mode` says, and only `bfs`
-// reads `-jobs`.
-
-#[test]
-fn combine_with_sync_mode_is_a_usage_error() {
-    assert_usage_error(
-        env!("CARGO_BIN_EXE_pr"),
-        &["-combine", "-mode", "sync"],
-        &["-combine", "-mode sync"],
-    );
-}
-
-#[test]
-fn combine_with_async_mode_is_a_usage_error() {
-    assert_usage_error(
-        env!("CARGO_BIN_EXE_pr"),
-        &["-combine", "-mode", "async"],
-        &["-combine", "-mode async"],
-    );
-}
+// A flag the binary would accept and then not act on is refused: only
+// `bfs` reads `-jobs`.
 
 #[test]
 fn jobs_flag_outside_bfs_is_a_usage_error() {
@@ -506,6 +531,29 @@ fn jobs_flag_outside_bfs_is_a_usage_error() {
 
 // Flag values that used to end the process (thread-spawn abort, OOM kill)
 // or wrap to zero are configuration errors.
+
+/// `-jobs N` is N query threads and N IO lanes a device: 20000 aborted the
+/// process where threads or address space ran out. The largest value still
+/// accepted runs.
+#[test]
+fn jobs_flag_is_bounded() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_bfs"),
+        &["-jobs", "20000"],
+        &["-jobs must be <= 64"],
+    );
+    let dir = tempfile::tempdir().unwrap();
+    let (index, adj0, adj1, _) = gen_graph(dir.path());
+    let (code, text) = run_watched(
+        env!("CARGO_BIN_EXE_bfs"),
+        &["-jobs", "64", &index, &adj0, &adj1],
+    );
+    assert_eq!(code, Some(0), "{text}");
+    assert!(
+        text.contains("64 concurrent jobs over one engine"),
+        "{text}"
+    );
+}
 
 #[test]
 fn absurd_worker_count_is_a_usage_error() {

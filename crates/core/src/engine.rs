@@ -18,7 +18,7 @@ use blaze_sync::Backoff;
 use blaze_sync::Mutex;
 
 use blaze_binning::{BinSpace, BinValue, BinningConfig, ScatterStaging};
-use blaze_frontier::{PageSubset, PriorityFrontier, PrioritySnapshot, VertexSubset};
+use blaze_frontier::{PageSubset, VertexSubset};
 use blaze_graph::DiskGraph;
 use blaze_storage::{
     BufferPool, FlightTable, IoBackend, JobIoStats, PageCache, SyncBackend, ThreadedBackend,
@@ -273,61 +273,7 @@ impl BlazeEngine {
         FG: Fn(VertexId, V) -> bool + Sync,
         FC: Fn(VertexId) -> bool + Sync,
     {
-        self.run_edge_map(
-            frontier,
-            &scatter,
-            &gather,
-            None::<&fn(V, V) -> V>,
-            &cond,
-            output,
-            false,
-            None,
-        )
-    }
-
-    /// [`edge_map`](Self::edge_map) with scatter-side record combining:
-    /// when two staged records in one scatter worker's staging window share
-    /// a destination, `combine` merges their values into one record instead
-    /// of shipping both through the bins. `combine` must be associative and
-    /// agree with `gather`'s accumulation (e.g. addition for PageRank
-    /// deltas, `min` for label propagation) — then the gather side observes
-    /// the same reduction it would have computed itself, record by record,
-    /// and results are identical to the uncombined path.
-    ///
-    /// The payoff mirrors propagation-blocking update-log reduction: on
-    /// power-law graphs many records in a window target the same hub
-    /// vertex, and each merged record saves a bin-buffer slot, a flush, and
-    /// a gather application. The merged count is reported per iteration as
-    /// [`IterationTrace::records_combined`] (`records_produced` counts the
-    /// post-combine stream).
-    ///
-    /// [`IterationTrace::records_combined`]: blaze_types::IterationTrace::records_combined
-    pub fn edge_map_combined<V, FS, FG, FM, FC>(
-        &self,
-        frontier: &VertexSubset,
-        scatter: FS,
-        gather: FG,
-        combine: FM,
-        cond: FC,
-        output: bool,
-    ) -> Result<VertexSubset>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FM: Fn(V, V) -> V + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-    {
-        self.run_edge_map(
-            frontier,
-            &scatter,
-            &gather,
-            Some(&combine),
-            &cond,
-            output,
-            false,
-            None,
-        )
+        self.run_edge_map(frontier, &scatter, &gather, &cond, output, false)
     }
 
     /// The synchronization-based variant (Figure 8b): no bins — scatter
@@ -349,135 +295,26 @@ impl BlazeEngine {
         FG: Fn(VertexId, V) -> bool + Sync,
         FC: Fn(VertexId) -> bool + Sync,
     {
-        self.run_edge_map(
-            frontier,
-            &scatter,
-            &gather,
-            None::<&fn(V, V) -> V>,
-            &cond,
-            output,
-            true,
-            None,
-        )
+        self.run_edge_map(frontier, &scatter, &gather, &cond, output, true)
     }
 
-    /// Asynchronous `EdgeMap` for **monotone** algorithms: no per-iteration
-    /// barrier. Gather workers push newly-activated vertices into a
-    /// [`PriorityFrontier`] bucketed by `priority` (BFS/SSSP distance, WCC
-    /// label), and the driver keeps draining the most urgent batch until the
-    /// frontier is quiescent — convergence is a *quiescence* test (no queued
-    /// vertices, no batch in flight), not an empty-frontier superstep.
-    ///
-    /// Correctness requires monotonicity: `gather` must only move vertex
-    /// values in one direction (e.g. min-relaxation) and return `true` iff
-    /// it improved the value, so stale re-deliveries are no-ops and the
-    /// fixpoint is order-independent. Deterministic monotone algorithms
-    /// therefore converge to results *bit-identical* to their barriered
-    /// `edge_map` oracle. `seeds` are pushed at their `priority` before the
-    /// first batch is drained.
-    ///
-    /// Each drained batch reuses the whole barriered machinery — page
-    /// transform, SQ/CQ IO pump, online binning, combining — as one job
-    /// submission; only the iteration structure changes. Batch size and
-    /// bucket count come from [`EngineOptions::async_batch_max`] and
-    /// [`EngineOptions::async_buckets`]. Returns the frontier's final
-    /// counters (pushes, dedup hits, pops, batches).
-    pub fn edge_map_async<V, FS, FG, FC, FP>(
-        &self,
-        seeds: &[VertexId],
-        scatter: FS,
-        gather: FG,
-        cond: FC,
-        priority: FP,
-    ) -> Result<PrioritySnapshot>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-        FP: Fn(VertexId) -> u64 + Sync,
-    {
-        let pf = PriorityFrontier::new(self.graph.num_vertices(), self.options.async_buckets);
-        for &v in seeds {
-            pf.push(v, priority(v));
-        }
-        while let Some((bucket, batch)) = pf.pop_batch(self.options.async_batch_max) {
-            let round =
-                self.edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority);
-            pf.complete_batch();
-            round?;
-        }
-        debug_assert!(pf.is_quiescent(), "drained frontier must be quiescent");
-        Ok(pf.snapshot())
-    }
-
-    /// One round of [`edge_map_async`](Self::edge_map_async): scatters
-    /// `batch` (drained from bucket `bucket` of `pf`) and re-queues every
-    /// vertex `gather` activates at its current `priority`. Exposed so
-    /// algorithms that interleave several engines per batch (WCC's
-    /// out+in direction pair, k-core's degree updates) can drive the
-    /// drain loop themselves against one shared frontier; call
-    /// [`PriorityFrontier::complete_batch`] after the batch's last round.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_map_async_batch<V, FS, FG, FC, FP>(
-        &self,
-        batch: &[VertexId],
-        bucket: u64,
-        pf: &PriorityFrontier,
-        scatter: &FS,
-        gather: &FG,
-        cond: &FC,
-        priority: &FP,
-    ) -> Result<()>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-        FP: Fn(VertexId) -> u64 + Sync,
-    {
-        let frontier = VertexSubset::from_members(self.graph.num_vertices(), batch.iter().copied());
-        let gather_async = |dst: VertexId, value: V| {
-            if gather(dst, value) {
-                pf.push(dst, priority(dst));
-            }
-            false
-        };
-        self.run_edge_map(
-            &frontier,
-            scatter,
-            &gather_async,
-            None::<&fn(V, V) -> V>,
-            cond,
-            false,
-            false,
-            Some((bucket, pf)),
-        )
-        .map(drop)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_edge_map<V, FS, FG, FM, FC>(
+    fn run_edge_map<V, FS, FG, FC>(
         &self,
         frontier: &VertexSubset,
         scatter: &FS,
         gather: &FG,
-        combine: Option<&FM>,
         cond: &FC,
         output: bool,
         sync_variant: bool,
-        async_round: Option<(u64, &PriorityFrontier)>,
     ) -> Result<VertexSubset>
     where
         V: BinValue,
         FS: Fn(VertexId, VertexId) -> V + Sync,
         FG: Fn(VertexId, V) -> bool + Sync,
-        FM: Fn(V, V) -> V + Sync,
         FC: Fn(VertexId) -> bool + Sync,
     {
         let t0 = Instant::now();
         let num_devices = self.graph.storage().num_devices();
-        let async_before = async_round.map(|(_, pf)| pf.snapshot());
 
         let pages = self.build_page_subset(frontier);
         let out = VertexSubset::new(self.graph.num_vertices());
@@ -498,7 +335,6 @@ impl BlazeEngine {
             space: space.as_ref(),
             scatter,
             gather,
-            combine,
             cond,
             output,
             num_devices,
@@ -521,16 +357,6 @@ impl BlazeEngine {
         let error = job.error.lock().take();
         let edges_processed = job.edges_processed.load(Ordering::Relaxed); // sync-audit: trace counter; job completed.
         let records_sync = job.records_sync.load(Ordering::Relaxed); // sync-audit: trace counter; job completed.
-        if let (Some((bucket, pf)), Some(before)) = (async_round, async_before) {
-            // The round's workers have joined, so the frontier delta is
-            // exactly this job's pushes; record it before the trace copy.
-            let after = pf.snapshot();
-            job.io_stats.record_async_round(
-                bucket,
-                after.pushed - before.pushed,
-                after.deduped - before.deduped,
-            );
-        }
         let mut trace = IterationTrace::new(num_devices);
         fill_io_trace_from_job(&mut trace, &job.io_stats);
         drop(job);
@@ -588,7 +414,7 @@ impl BlazeEngine {
 /// workers call the [`PipelineJob`] roles below; nothing here is shared
 /// with any other in-flight job, so per-job counters and the first-error
 /// slot cannot be polluted by concurrent submissions.
-struct EdgeMapJob<'a, V, FS, FG, FM, FC>
+struct EdgeMapJob<'a, V, FS, FG, FC>
 where
     V: BinValue,
 {
@@ -601,9 +427,6 @@ where
     space: Option<&'a BinSpace<V>>,
     scatter: &'a FS,
     gather: &'a FG,
-    /// Associative merge for same-destination records inside one staging
-    /// window; `None` disables combining (the default path).
-    combine: Option<&'a FM>,
     cond: &'a FC,
     output: bool,
     num_devices: usize,
@@ -616,8 +439,9 @@ where
     all_scatter_done: AtomicBool,
     edges_processed: AtomicU64,
     records_sync: AtomicU64,
-    /// First IO error of the job; later errors are dropped (the first one
-    /// is the cause, the rest are downstream noise).
+    /// First error of the job (a failed read, or a run scatter refused);
+    /// later errors are dropped (the first one is the cause, the rest are
+    /// downstream noise).
     error: Mutex<Option<BlazeError>>,
     /// Submission sequence number, assigned by the runtime under its queue
     /// lock before any worker sees the job (`u64::MAX` until then). Scan
@@ -627,12 +451,11 @@ where
     io_stats: JobIoStats,
 }
 
-impl<V, FS, FG, FM, FC> PipelineJob for EdgeMapJob<'_, V, FS, FG, FM, FC>
+impl<V, FS, FG, FC> PipelineJob for EdgeMapJob<'_, V, FS, FG, FC>
 where
     V: BinValue,
     FS: Fn(VertexId, VertexId) -> V + Sync,
     FG: Fn(VertexId, V) -> bool + Sync,
-    FM: Fn(V, V) -> V + Sync,
     FC: Fn(VertexId) -> bool + Sync,
 {
     /// Records the submission sequence number the runtime assigned under
@@ -706,6 +529,7 @@ where
         // construction, so the per-source membership probe is pure overhead
         // in dense iterations (PageRank, WCC) — hoist it out of the loop.
         let all_active = self.frontier.is_complete();
+        let graph = &self.engine.graph;
         let backoff = Backoff::new();
         loop {
             let Some(batch) = self.pool.pop_filled() else {
@@ -723,8 +547,16 @@ where
             let t = Instant::now();
             for i in 0..batch.num_pages() {
                 batch.prefetch(i + 1);
+                let page = batch.page_id(i);
                 let body = |src: VertexId, dsts: &[VertexId]| {
                     if !all_active && !self.frontier.contains(src) {
+                        return;
+                    }
+                    if let Err(e) = graph.check_destinations(page, dsts) {
+                        // A destination past the vertex count would index
+                        // out of the caller's arrays: fail the job, skip
+                        // the run.
+                        self.error.lock().get_or_insert(e);
                         return;
                     }
                     for &dst in dsts {
@@ -734,10 +566,7 @@ where
                         }
                         let value = (self.scatter)(src, dst);
                         match (&mut staging, self.space) {
-                            (Some(staging), Some(space)) => match self.combine {
-                                Some(combine) => staging.push_combined(space, dst, value, combine),
-                                None => staging.push(space, dst, value),
-                            },
+                            (Some(staging), Some(space)) => staging.push(space, dst, value),
                             _ => {
                                 // Sync variant: apply directly with the
                                 // user's atomic gather — the CAS path.
@@ -749,12 +578,7 @@ where
                         }
                     }
                 };
-                self.engine.graph.for_each_vertex_in_page(
-                    batch.page_id(i),
-                    batch.page_data(i),
-                    &mut scratch,
-                    body,
-                );
+                graph.for_each_vertex_in_page(page, batch.page_data(i), &mut scratch, body);
             }
             self.pool.finish(batch);
             busy_ns += t.elapsed().as_nanos() as u64;
@@ -763,8 +587,6 @@ where
             let t = Instant::now();
             staging.flush(space);
             busy_ns += t.elapsed().as_nanos() as u64;
-            self.io_stats
-                .add_records_combined(staging.records_combined());
         }
         self.io_stats.add_scatter_ns(busy_ns);
         self.io_stats.add_io_wait_ns(wait_ns);
@@ -1078,77 +900,6 @@ pub(crate) mod tests {
         );
     }
 
-    /// A star graph: every vertex points at vertex 0, so every staged
-    /// record shares one destination and scatter-side combining is
-    /// guaranteed to merge within every staging window.
-    fn star(n: usize) -> Csr {
-        let offsets = (0..=n as u64).collect();
-        let neighbors = vec![0u32; n];
-        Csr::from_parts(offsets, neighbors)
-    }
-
-    #[test]
-    fn combined_edge_map_matches_uncombined() {
-        for g in [rmat(&RmatConfig::new(9)), star(3000)] {
-            let e = engine(&g, 2, EngineOptions::default());
-            let frontier = VertexSubset::full(g.num_vertices());
-            let run = |combined: bool| {
-                let sum = VertexArray::<u64>::new(g.num_vertices(), 0);
-                let scatter = |_s: u32, _d: u32| 1u64;
-                let gather = |dst: u32, v: u64| {
-                    sum.set(dst as usize, sum.get(dst as usize) + v);
-                    true
-                };
-                if combined {
-                    e.edge_map_combined(&frontier, scatter, gather, |a, b| a + b, |_| true, false)
-                        .unwrap();
-                } else {
-                    e.edge_map(&frontier, scatter, gather, |_| true, false)
-                        .unwrap();
-                }
-                (0..g.num_vertices())
-                    .map(|i| sum.get(i))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(run(false), run(true), "combining must not change sums");
-        }
-    }
-
-    #[test]
-    fn combining_reduces_records_on_a_star_graph() {
-        let g = star(3000);
-        let e = engine(&g, 1, EngineOptions::default());
-        let frontier = VertexSubset::full(g.num_vertices());
-        e.edge_map_combined(
-            &frontier,
-            |_s, _d| 1u64,
-            |_d, _v| false,
-            |a, b| a + b,
-            |_| true,
-            false,
-        )
-        .unwrap();
-        let t = e.take_traces().pop().unwrap();
-        assert_eq!(
-            t.records_combined + t.records_produced,
-            g.num_edges(),
-            "pre-combine stream is edges passing cond"
-        );
-        assert!(
-            t.records_combined > t.records_produced,
-            "a single-hub graph must combine most records \
-             ({} combined, {} produced)",
-            t.records_combined,
-            t.records_produced
-        );
-        // The uncombined path reports zero.
-        e.edge_map(&frontier, |_s, _d| 1u64, |_d, _v| false, |_| true, false)
-            .unwrap();
-        let t = e.take_traces().pop().unwrap();
-        assert_eq!(t.records_combined, 0);
-        assert_eq!(t.records_produced, g.num_edges());
-    }
-
     #[test]
     fn traces_record_compute_stage_timings() {
         let g = rmat(&RmatConfig::new(9));
@@ -1168,79 +919,6 @@ pub(crate) mod tests {
         let t = e.take_traces().pop().unwrap();
         assert!(t.scatter_ns > 0);
         assert_eq!(t.gather_ns, 0);
-    }
-
-    /// Barrier-free BFS via `edge_map_async`: min-relax levels, priority =
-    /// current level (lower levels drain first, Dijkstra-style).
-    fn bfs_levels_async(engine: &BlazeEngine, root: u32) -> Vec<i64> {
-        let n = engine.num_vertices();
-        let level = VertexArray::<i64>::new(n, -1);
-        level.set(root as usize, 0);
-        let snap = engine
-            .edge_map_async(
-                &[root],
-                |s: u32, _d: u32| (level.get(s as usize) + 1) as u64,
-                |dst: u32, lvl: u64| {
-                    let lvl = lvl as i64;
-                    let cur = level.get(dst as usize);
-                    if cur == -1 || lvl < cur {
-                        level.set(dst as usize, lvl);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                |_| true,
-                |v: u32| level.get(v as usize).max(0) as u64,
-            )
-            .unwrap();
-        assert!(snap.batches >= 1, "a seeded run drains at least one batch");
-        assert_eq!(snap.pushed, snap.popped, "quiescent: every push was popped");
-        level.to_vec()
-    }
-
-    #[test]
-    fn async_edge_map_bfs_matches_reference() {
-        let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2, EngineOptions::default());
-        assert_eq!(bfs_levels_async(&e, 0), bfs_levels_ref(&g, 0));
-        let stats = e.stats();
-        assert!(stats.async_rounds >= 1, "rounds must be traced as async");
-        assert_eq!(stats.iterations as u64, stats.async_rounds);
-        assert!(stats.async_activations >= 1);
-        let traces = e.take_traces();
-        assert!(traces.iter().all(|t| t.async_round));
-        assert_eq!(
-            traces.iter().map(|t| t.async_activations).sum::<u64>(),
-            stats.async_activations
-        );
-    }
-
-    #[test]
-    fn async_tiny_batches_still_converge() {
-        // Batch cap far below the frontier size plus a saturating bucket
-        // count: overflow re-queueing and bucket saturation both exercised.
-        let g = uniform(9, 8, 3);
-        let e = engine(
-            &g,
-            1,
-            EngineOptions::default()
-                .with_async_batch_max(16)
-                .with_async_buckets(4),
-        );
-        assert_eq!(bfs_levels_async(&e, 1), bfs_levels_ref(&g, 1));
-    }
-
-    #[test]
-    fn async_rounds_interleave_with_barriered_jobs() {
-        // One engine serves an async run and a barriered BFS back to back;
-        // the sync path's traces must stay un-flagged.
-        let g = rmat(&RmatConfig::new(8));
-        let e = engine(&g, 1, EngineOptions::default());
-        assert_eq!(bfs_levels_async(&e, 0), bfs_levels_ref(&g, 0));
-        e.take_traces();
-        assert_eq!(bfs_levels_engine(&e, 0, false), bfs_levels_ref(&g, 0));
-        assert!(e.take_traces().iter().all(|t| !t.async_round));
     }
 
     #[test]

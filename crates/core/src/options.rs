@@ -3,7 +3,7 @@
 use blaze_binning::BinningConfig;
 use blaze_storage::DEFAULT_QUEUE_DEPTH;
 use blaze_types::{
-    BlazeError, Result, DEFAULT_IO_BUFFER_BYTES, MAX_COMPUTE_WORKERS, MAX_MERGED_PAGES,
+    BlazeError, Result, DEFAULT_IO_BUFFER_BYTES, MAX_COMPUTE_WORKERS, MAX_JOBS, MAX_MERGED_PAGES,
 };
 
 /// Configuration of one [`BlazeEngine`](crate::BlazeEngine).
@@ -55,19 +55,13 @@ pub struct EngineOptions {
     /// IO lanes (workers) per device when `scan_sharing` is on. One lane
     /// serializes concurrent jobs' IO phases per device (nothing to
     /// share); size it at least to the expected number of concurrent
-    /// jobs. Ignored (forced to 1) when sharing is off.
+    /// jobs, at most [`MAX_JOBS`]. Ignored (forced to 1) when sharing is
+    /// off.
     pub scan_share_lanes: usize,
     /// Completed flights retained per device for trailing subscribers
     /// (each at most `merge_window` pages). 0 coalesces only
     /// instantaneously overlapping misses.
     pub scan_share_retain: usize,
-    /// Maximum vertices `edge_map_async` drains from the priority frontier
-    /// per round. Smaller batches follow the priority order more closely
-    /// (fewer wasted relaxations) at the cost of more, smaller IO rounds.
-    pub async_batch_max: usize,
-    /// Number of priority buckets of the async frontier. Priorities at or
-    /// beyond the last bucket saturate into it.
-    pub async_buckets: usize,
 }
 
 impl Default for EngineOptions {
@@ -84,8 +78,6 @@ impl Default for EngineOptions {
             scan_sharing: false,
             scan_share_lanes: 4,
             scan_share_retain: 128,
-            async_batch_max: 4096,
-            async_buckets: 256,
         }
     }
 }
@@ -155,20 +147,6 @@ impl EngineOptions {
         self
     }
 
-    /// Overrides the per-round batch cap of `edge_map_async` (clamped to
-    /// ≥ 1).
-    pub fn with_async_batch_max(mut self, max: usize) -> Self {
-        self.async_batch_max = max.max(1);
-        self
-    }
-
-    /// Overrides the bucket count of the async priority frontier (clamped
-    /// to ≥ 1).
-    pub fn with_async_buckets(mut self, buckets: usize) -> Self {
-        self.async_buckets = buckets.max(1);
-        self
-    }
-
     /// Total compute threads.
     pub fn compute_workers(&self) -> usize {
         self.num_scatter + self.num_gather
@@ -193,14 +171,14 @@ impl EngineOptions {
         if self.queue_depth == 0 {
             return Err(BlazeError::Config("queue_depth must be >= 1".into()));
         }
-        if self.async_batch_max == 0 {
-            return Err(BlazeError::Config("async_batch_max must be >= 1".into()));
-        }
-        if self.async_buckets == 0 {
-            return Err(BlazeError::Config("async_buckets must be >= 1".into()));
-        }
         if self.scan_share_lanes == 0 {
             return Err(BlazeError::Config("scan_share_lanes must be >= 1".into()));
+        }
+        if self.scan_share_lanes > MAX_JOBS {
+            return Err(BlazeError::Config(format!(
+                "{} IO lanes a device asked for, at most {MAX_JOBS} are supported",
+                self.scan_share_lanes
+            )));
         }
         Ok(())
     }
@@ -262,31 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn async_knobs_default_clamp_and_validate() {
-        let o = EngineOptions::default();
-        assert_eq!(o.async_batch_max, 4096);
-        assert_eq!(o.async_buckets, 256);
-        let o = EngineOptions::default()
-            .with_async_batch_max(0)
-            .with_async_buckets(0);
-        assert_eq!(o.async_batch_max, 1, "builder clamps rather than erroring");
-        assert_eq!(o.async_buckets, 1);
-        assert!(o.validate().is_ok());
-        for bad in [
-            EngineOptions {
-                async_batch_max: 0,
-                ..Default::default()
-            },
-            EngineOptions {
-                async_buckets: 0,
-                ..Default::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "hand-built zero knob accepted");
-        }
-    }
-
-    #[test]
     fn scan_sharing_defaults_clamp_and_validate() {
         let o = EngineOptions::default();
         assert!(!o.scan_sharing, "sharing is opt-in");
@@ -305,6 +258,11 @@ mod tests {
             ..Default::default()
         };
         assert!(o.validate().is_err(), "hand-built zero lanes accepted");
+        let at = EngineOptions::default().with_scan_share_lanes(MAX_JOBS);
+        assert!(at.validate().is_ok());
+        let over = EngineOptions::default().with_scan_share_lanes(MAX_JOBS + 1);
+        let err = over.validate().unwrap_err().to_string();
+        assert!(err.contains("IO lanes"), "{err}");
     }
 
     #[test]

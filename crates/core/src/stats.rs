@@ -57,16 +57,6 @@ pub struct ExecStats {
     pub gather_ns: u64,
     /// Nanoseconds scatter workers spent idle waiting for filled buffers.
     pub io_wait_ns: u64,
-    /// Records merged away by scatter-side combining across all iterations
-    /// (`records_produced` counts the post-combine stream).
-    pub records_combined: u64,
-    /// Asynchronous priority-frontier rounds absorbed (counted inside
-    /// `iterations` as well; zero for purely barriered executions).
-    pub async_rounds: u64,
-    /// Vertices pushed into the priority frontier across all async rounds.
-    pub async_activations: u64,
-    /// Priority-frontier pushes that collapsed into already-queued vertices.
-    pub async_dedup_skipped: u64,
 }
 
 impl ExecStats {
@@ -114,12 +104,6 @@ impl ExecStats {
         self.scatter_ns += it.scatter_ns;
         self.gather_ns += it.gather_ns;
         self.io_wait_ns += it.io_wait_ns;
-        self.records_combined += it.records_combined;
-        if it.async_round {
-            self.async_rounds += 1;
-            self.async_activations += it.async_activations;
-            self.async_dedup_skipped += it.async_dedup_skipped;
-        }
     }
 }
 
@@ -171,16 +155,10 @@ pub fn fill_io_trace_from_job(trace: &mut IterationTrace, job: &JobIoStats) {
     trace.io_max_in_flight = depth_max;
     trace.io_mean_in_flight = depth_mean;
     trace.io_latency_buckets = job.latency_histogram();
-    let (scatter_ns, gather_ns, io_wait_ns, records_combined) = job.compute_totals();
+    let (scatter_ns, gather_ns, io_wait_ns) = job.compute_totals();
     trace.scatter_ns = scatter_ns;
     trace.gather_ns = gather_ns;
     trace.io_wait_ns = io_wait_ns;
-    trace.records_combined = records_combined;
-    let (rounds, priority, activations, deduped) = job.async_totals();
-    trace.async_round = rounds > 0;
-    trace.async_batch_priority = priority;
-    trace.async_activations = activations;
-    trace.async_dedup_skipped = deduped;
 }
 
 /// Snapshots every device's stats.
@@ -291,45 +269,17 @@ mod tests {
         j.add_scatter_ns(100);
         j.add_gather_ns(50);
         j.add_io_wait_ns(25);
-        j.add_records_combined(9);
         let mut t = IterationTrace::new(1);
         fill_io_trace_from_job(&mut t, &j);
         assert_eq!(t.scatter_ns, 100);
         assert_eq!(t.gather_ns, 50);
         assert_eq!(t.io_wait_ns, 25);
-        assert_eq!(t.records_combined, 9);
         let mut s = ExecStats::default();
         s.absorb(&t, 0);
         s.absorb(&t, 0);
         assert_eq!(s.scatter_ns, 200);
         assert_eq!(s.gather_ns, 100);
         assert_eq!(s.io_wait_ns, 50);
-        assert_eq!(s.records_combined, 18);
-    }
-
-    #[test]
-    fn job_trace_carries_async_round_totals() {
-        let j = JobIoStats::new(1);
-        j.record_async_round(3, 17, 4);
-        let mut t = IterationTrace::new(1);
-        fill_io_trace_from_job(&mut t, &j);
-        assert!(t.async_round);
-        assert_eq!(t.async_batch_priority, 3);
-        assert_eq!(t.async_activations, 17);
-        assert_eq!(t.async_dedup_skipped, 4);
-        let mut s = ExecStats::default();
-        s.absorb(&t, 0);
-        s.absorb(&t, 0);
-        assert_eq!(s.async_rounds, 2);
-        assert_eq!(s.async_activations, 34);
-        assert_eq!(s.async_dedup_skipped, 8);
-        // A barrier job leaves the async fields untouched.
-        let barrier = JobIoStats::new(1);
-        let mut bt = IterationTrace::new(1);
-        fill_io_trace_from_job(&mut bt, &barrier);
-        assert!(!bt.async_round);
-        s.absorb(&bt, 0);
-        assert_eq!(s.async_rounds, 2);
     }
 
     #[test]

@@ -9,11 +9,6 @@
 //! [`PageSubset`] is the IO-side frontier: the sorted set of disk pages
 //! holding the edges of the active vertices, partitioned per device. It is
 //! internal to the engine and never exposed to algorithm code.
-//!
-//! [`PriorityFrontier`] is the asynchronous counterpart of [`VertexSubset`]:
-//! a bucketed priority queue that gather workers push into while the driver
-//! pops the most urgent batch, replacing the superstep barrier for monotone
-//! algorithms.
 
 // The unsafe-audit rule (cargo xtask lint) keys off this: crates that
 // need no unsafe code forbid it outright, so the audit scope cannot
@@ -22,10 +17,8 @@
 
 pub mod bitmap;
 pub mod pagesubset;
-pub mod priority;
 pub mod subset;
 
 pub use bitmap::AtomicBitmap;
 pub use pagesubset::PageSubset;
-pub use priority::{PriorityFrontier, PrioritySnapshot};
 pub use subset::VertexSubset;

@@ -4,7 +4,7 @@ use blaze_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use blaze_sync::Mutex;
 
-use blaze_types::VertexId;
+use blaze_types::{CachePadded, VertexId};
 
 use crate::bitmap::AtomicBitmap;
 
@@ -27,7 +27,10 @@ const DENSE_DIVISOR: usize = 20;
 pub struct VertexSubset {
     bitmap: AtomicBitmap,
     shards: Vec<Mutex<Vec<VertexId>>>,
-    count: AtomicUsize,
+    /// On a cache line of its own: every gather thread bumps it on every
+    /// insert, and a frontier under construction sits on its submitter's
+    /// stack beside the job the scatter threads read on every edge.
+    count: CachePadded<AtomicUsize>,
     dense: AtomicBool,
     /// Sorted member list, built by [`seal`](Self::seal) for sparse sets.
     sealed: Option<Vec<VertexId>>,
@@ -47,7 +50,7 @@ impl VertexSubset {
         Self {
             bitmap: AtomicBitmap::new(capacity),
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            count: AtomicUsize::new(0),
+            count: CachePadded::new(AtomicUsize::new(0)),
             dense: AtomicBool::new(false),
             sealed: None,
             complete: false,
@@ -118,9 +121,9 @@ impl VertexSubset {
 
     /// Number of members. Authoritative: only valid once the set is
     /// finalized ([`seal`](Self::seal) ran, or [`full`](Self::full) built
-    /// it), which debug builds enforce. Mid-construction readers — the
-    /// async engine path, diagnostics — must use
-    /// [`live_len`](Self::live_len) instead.
+    /// it), which debug builds enforce. A reader in the middle of
+    /// construction (diagnostics) must use [`live_len`](Self::live_len)
+    /// instead.
     pub fn len(&self) -> usize {
         debug_assert!(
             self.finalized,

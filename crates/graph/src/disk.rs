@@ -381,6 +381,37 @@ impl DiskGraph {
         self.index.memory_bytes() + self.pagemap.memory_bytes() + self.layout.memory_bytes()
     }
 
+    /// Refuses a run of destinations, as [`for_each_vertex_in_page`] hands
+    /// them out of `page`, that names a vertex the graph does not have. The
+    /// adjacency files come from outside the program and every destination
+    /// indexes the caller's vertex arrays, so scatter runs this on a run
+    /// before it reads it: one branch-free pass and one comparison a run,
+    /// so the per-edge loop needs no branch of its own.
+    ///
+    /// [`for_each_vertex_in_page`]: Self::for_each_vertex_in_page
+    #[inline]
+    pub fn check_destinations(&self, page: PageId, dsts: &[VertexId]) -> Result<()> {
+        // Ids are 32 bits wide: a graph of 2^32 vertices has every one.
+        let Ok(n) = VertexId::try_from(self.num_vertices()) else {
+            return Ok(());
+        };
+        if dsts.iter().fold(false, |bad, &d| bad | (d >= n)) {
+            return Err(self.out_of_range(page, dsts, n));
+        }
+        Ok(())
+    }
+
+    /// The error of [`check_destinations`](Self::check_destinations), kept
+    /// out of line so the scatter loop carries only the comparison.
+    #[cold]
+    #[inline(never)]
+    fn out_of_range(&self, page: PageId, dsts: &[VertexId], n: VertexId) -> BlazeError {
+        let named = dsts.iter().find(|&&d| d >= n).copied().unwrap_or(n);
+        BlazeError::Format(format!(
+            "adjacency page {page} names vertex {named}, but the graph has {n} vertices"
+        ))
+    }
+
     /// Decodes one fetched page: calls `f(src, dsts)` for every vertex whose
     /// edges intersect page `page`, with `dsts` the *portion of its
     /// adjacency list stored in this page*.
@@ -624,6 +655,24 @@ mod tests {
             });
             assert!(runs > 0);
             assert_eq!(scratch.is_empty(), cfg!(target_endian = "little"));
+        }
+    }
+
+    #[test]
+    fn check_destinations_refuses_a_vertex_the_graph_lacks() {
+        let g = rmat(&RmatConfig::new(7));
+        let dg = disk_graph(&g, 1);
+        let n = g.num_vertices() as VertexId;
+        assert!(dg.check_destinations(3, &[]).is_ok());
+        assert!(dg.check_destinations(3, &[0, n - 1, 5]).is_ok());
+        for bad in [n, VertexId::MAX] {
+            let err = dg.check_destinations(3, &[0, bad, 5]).unwrap_err();
+            assert!(matches!(err, BlazeError::Format(_)), "{err}");
+            let text = err.to_string();
+            assert!(
+                text.contains("page 3") && text.contains(&format!("vertex {bad},")),
+                "{text}"
+            );
         }
     }
 

@@ -37,7 +37,16 @@ use crate::buffer::IoBuffer;
 use crate::request::IoRequest;
 use crate::stripe::StripedStorage;
 
-/// Which IO backend to construct.
+/// Which IO backend to construct, by name.
+///
+/// Nothing in the engine uses this: `BlazeEngine::new` picks its backend
+/// from `EngineOptions::queue_depth` alone (1 builds [`SyncBackend`],
+/// anything deeper [`ThreadedBackend::lanes`]), and there is no option to
+/// name one. The enum survives only because the benchmark's frozen surface
+/// builds backends through it (`IoBackendKind::{Sync, Threaded, build}` in
+/// `bench/src/sut.rs`, listed in `bench/README.md`, for the
+/// `storage.backend_paced_mb_s.*` probes). Do not wire it back into the
+/// engine or the CLI; it goes when a change to the benchmark drops those calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoBackendKind {
     /// Depth-1 blocking reads on the submitting thread (byte-for-byte the

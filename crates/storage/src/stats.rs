@@ -210,17 +210,6 @@ struct JobComputeStats {
     gather_ns: AtomicU64,
     /// Nanoseconds scatter workers spent idle waiting for filled buffers.
     io_wait_ns: AtomicU64,
-    /// Records merged away by scatter-side combining.
-    records_combined: AtomicU64,
-    /// Asynchronous rounds recorded on this job (0 for barrier jobs, 1 for
-    /// a priority-frontier round).
-    async_rounds: AtomicU64,
-    /// Priority bucket the round's batch was drained from.
-    async_batch_priority: AtomicU64,
-    /// Vertices the round's gathers pushed into the priority frontier.
-    async_activations: AtomicU64,
-    /// Pushes that collapsed into an already-queued vertex.
-    async_dedup_skipped: AtomicU64,
 }
 
 impl JobIoStats {
@@ -437,54 +426,13 @@ impl JobIoStats {
         self.compute.io_wait_ns.fetch_add(ns, Ordering::Relaxed); // sync-audit: see add_scatter_ns.
     }
 
-    /// Adds records merged away by one scatter worker's combine window.
-    pub fn add_records_combined(&self, records: u64) {
-        self.compute
-            .records_combined
-            .fetch_add(records, Ordering::Relaxed); // sync-audit: see add_scatter_ns.
-    }
-
-    /// `(scatter_ns, gather_ns, io_wait_ns, records_combined)` totals. Only
-    /// authoritative once the job's compute roles have finished.
-    pub fn compute_totals(&self) -> (u64, u64, u64, u64) {
+    /// `(scatter_ns, gather_ns, io_wait_ns)` totals. Only authoritative
+    /// once the job's compute roles have finished.
+    pub fn compute_totals(&self) -> (u64, u64, u64) {
         (
             self.compute.scatter_ns.load(Ordering::Relaxed), // sync-audit: see add_scatter_ns.
             self.compute.gather_ns.load(Ordering::Relaxed),  // sync-audit: see add_scatter_ns.
             self.compute.io_wait_ns.load(Ordering::Relaxed), // sync-audit: see add_scatter_ns.
-            self.compute.records_combined.load(Ordering::Relaxed), // sync-audit: see add_scatter_ns.
-        )
-    }
-
-    /// Marks this job as one asynchronous priority round: the batch was
-    /// drained from bucket `priority`, its gathers pushed `activations`
-    /// fresh vertices and had `dedup_skipped` pushes collapse into already
-    /// queued ones. Called once by the driver after the round completes.
-    pub fn record_async_round(&self, priority: u64, activations: u64, dedup_skipped: u64) {
-        // sync-audit: Relaxed — written once by the driving thread after the
-        // round's workers joined, read by the same thread building the
-        // trace; no cross-thread ordering is needed (async_totals inherits
-        // this argument).
-        self.compute.async_rounds.fetch_add(1, Ordering::Relaxed); // sync-audit: see record_async_round.
-        self.compute
-            .async_batch_priority
-            .store(priority, Ordering::Relaxed); // sync-audit: see record_async_round.
-        self.compute
-            .async_activations
-            .fetch_add(activations, Ordering::Relaxed); // sync-audit: see record_async_round.
-        self.compute
-            .async_dedup_skipped
-            .fetch_add(dedup_skipped, Ordering::Relaxed); // sync-audit: see record_async_round.
-    }
-
-    /// `(rounds, batch_priority, activations, dedup_skipped)` of the async
-    /// round, all zero for barrier jobs. Only authoritative once the job
-    /// completed.
-    pub fn async_totals(&self) -> (u64, u64, u64, u64) {
-        (
-            self.compute.async_rounds.load(Ordering::Relaxed), // sync-audit: see record_async_round.
-            self.compute.async_batch_priority.load(Ordering::Relaxed), // sync-audit: see record_async_round.
-            self.compute.async_activations.load(Ordering::Relaxed), // sync-audit: see record_async_round.
-            self.compute.async_dedup_skipped.load(Ordering::Relaxed), // sync-audit: see record_async_round.
         )
     }
 }
@@ -659,13 +607,12 @@ mod tests {
     #[test]
     fn compute_stage_totals_accumulate() {
         let j = JobIoStats::new(1);
-        assert_eq!(j.compute_totals(), (0, 0, 0, 0));
+        assert_eq!(j.compute_totals(), (0, 0, 0));
         j.add_scatter_ns(10);
         j.add_scatter_ns(5);
         j.add_gather_ns(7);
         j.add_io_wait_ns(3);
-        j.add_records_combined(42);
-        assert_eq!(j.compute_totals(), (15, 7, 3, 42));
+        assert_eq!(j.compute_totals(), (15, 7, 3));
     }
 
     #[test]

@@ -54,6 +54,14 @@ pub const DEFAULT_IO_BUFFER_BYTES: usize = 4 << 20;
 /// sixteen is far beyond any machine this runs on and still starts.
 pub const MAX_COMPUTE_WORKERS: usize = 1024;
 
+/// Most concurrent jobs one engine may be sized for: the CLI's `-jobs`, and
+/// the IO lanes a device that serve them (`scan_share_lanes`). Each job is
+/// a query thread, an IO thread a device and a bin and buffer arena of its
+/// own, so an unbounded count runs the process out of threads or memory
+/// before the first read; four times the widest sweep the benches run (16)
+/// starts and finishes on this machine.
+pub const MAX_JOBS: usize = 64;
+
 /// Default per-thread grain of the in-memory vertex-map phase: a frontier
 /// smaller than `grain * threads` members runs serially, since forking
 /// scoped threads costs more than the map itself at that size. With the

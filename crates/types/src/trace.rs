@@ -104,22 +104,6 @@ pub struct IterationTrace {
     /// Nanoseconds scatter workers spent idle waiting for filled buffers —
     /// the compute-side view of an IO-bound iteration.
     pub io_wait_ns: u64,
-    /// Records merged away by scatter-side combining before they reached a
-    /// bin; `records_produced` counts the post-combine stream, so the
-    /// pre-combine count is the sum of the two.
-    pub records_combined: u64,
-    /// Whether this trace records one asynchronous priority-frontier round
-    /// (`edge_map_async`) instead of a barriered superstep.
-    pub async_round: bool,
-    /// Async rounds only: the priority bucket the round's batch was drained
-    /// from.
-    pub async_batch_priority: u64,
-    /// Async rounds only: vertices the round's gathers pushed into the
-    /// priority frontier.
-    pub async_activations: u64,
-    /// Async rounds only: pushes that collapsed into an already-queued
-    /// vertex (the frontier's duplicate suppression).
-    pub async_dedup_skipped: u64,
 }
 
 impl IterationTrace {

@@ -4,12 +4,13 @@
 
 #![allow(clippy::needless_range_loop)] // vertex-id indexing reads clearer here
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use blaze::algorithms::{self as algo, reference, ExecMode, PageRankConfig};
 use blaze::engine::{BlazeEngine, EngineOptions};
-use blaze::graph::disk::save_files;
-use blaze::graph::{gen, Csr, Dataset, DatasetScale, DiskGraph};
+use blaze::graph::disk::{save_files, save_files_with_layout, LayoutMeta};
+use blaze::graph::{gen, Csr, Dataset, DatasetScale, DiskGraph, VertexLayout};
 use blaze::storage::{BlockDevice, DeviceProfile, FileDevice, SimDevice, StripedStorage};
 
 fn engine_over(csr: &Csr, devices: usize) -> BlazeEngine {
@@ -241,124 +242,157 @@ fn levels_from_parents(parent: &[i64], root: u32) -> Vec<i64> {
         .collect()
 }
 
-/// Tier-1 runs only this package, so this is where every query meets every
-/// mode it supports once: a mode that breaks in a crate-level suite breaks
-/// here too. Non-monotone queries must refuse async with a configuration
-/// error, not run it.
+/// The graph and its transpose as one file set under one vertex layout, and
+/// the IO window cap to open them with.
+struct Setup {
+    fwd: (PathBuf, Vec<PathBuf>),
+    rev: (PathBuf, Vec<PathBuf>),
+    queue_depth: usize,
+}
+
+impl Setup {
+    /// Writes `csr` and its transpose under `layout`, sharing the one
+    /// permutation, as two stripes each.
+    fn write(csr: &Csr, layout: VertexLayout, dir: &Path) -> Self {
+        let (perm, hot_vertices) = layout.plan(csr);
+        let physical = perm.permute_csr(csr);
+        let meta = LayoutMeta {
+            kind: layout,
+            hot_vertices,
+            perm,
+        };
+        let save = |g: &Csr, base: &str| save_files_with_layout(g, dir, base, 2, Some(&meta));
+        Setup {
+            fwd: save(&physical, "g.gr").unwrap(),
+            rev: save(&physical.transpose(), "g.tgr").unwrap(),
+            queue_depth: EngineOptions::default().queue_depth,
+        }
+    }
+
+    /// A fresh engine per call: no run sees another's cache, arenas or
+    /// stats.
+    fn open(&self, (index, adj): &(PathBuf, Vec<PathBuf>)) -> BlazeEngine {
+        let graph = Arc::new(DiskGraph::open_files(index, adj).unwrap());
+        let options = EngineOptions::default().with_queue_depth(self.queue_depth);
+        BlazeEngine::new(graph, options).unwrap()
+    }
+
+    fn fwd(&self) -> BlazeEngine {
+        self.open(&self.fwd)
+    }
+
+    fn rev(&self) -> BlazeEngine {
+        self.open(&self.rev)
+    }
+}
+
+/// Tier-1 runs only this package, so this is where every query meets both
+/// modes once, and, in binned mode, every physical layout under both IO
+/// backends (`queue_depth` 1 is the inline `SyncBackend`, 16 the adaptive
+/// one): a cell that breaks in a crate-level suite breaks here too.
 #[test]
 fn every_query_matches_its_reference_in_every_mode() {
-    use blaze::types::{BlazeError, Result};
-    use ExecMode::{Async, Binned, Sync};
+    use blaze::types::Result;
+    use ExecMode::{Binned, Sync};
 
     let csr = gen::rmat(&gen::RmatConfig::new(9));
-    let t = csr.transpose();
     let n = csr.num_vertices();
     let root = 0;
     let k = 3;
     let x: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
     let cfg = PageRankConfig::default();
-    // A fresh engine per run: no run sees another's cache, arenas or stats.
-    let fwd = || engine_over(&csr, 2);
-    let rev = || engine_over(&t, 2);
     let ranks = |values: Vec<f64>| Answer::Close {
         values,
         tol: 1e-6,
         floor: 1e-12,
     };
-    let pr_want = reference::pagerank_delta(&csr, cfg.damping, cfg.epsilon, cfg.max_iters);
     let sums = |values: Vec<f64>| Answer::Close {
         values,
         tol: 1e-9,
         floor: 1.0,
     };
 
-    type Run<'a> = Box<dyn Fn(ExecMode) -> Result<Answer> + 'a>;
+    type Run<'a> = Box<dyn Fn(&Setup, ExecMode) -> Result<Answer> + 'a>;
     struct Row<'a> {
         query: &'a str,
-        modes: &'a [ExecMode],
-        refused: &'a [ExecMode],
         run: Run<'a>,
         want: Answer,
     }
     let rows = [
         Row {
             query: "bfs",
-            modes: &[Binned, Sync, Async],
-            refused: &[],
-            run: Box::new(|m| {
-                let parent = algo::bfs(&fwd(), root, m)?.to_vec();
+            run: Box::new(|s, m| {
+                let parent = algo::bfs(&s.fwd(), root, m)?.to_vec();
                 Ok(Answer::exact(&levels_from_parents(&parent, root)))
             }),
             want: Answer::exact(&reference::bfs_levels(&csr, root)),
         },
         Row {
             query: "pr",
-            modes: &[Binned, Sync],
-            refused: &[Async],
-            run: Box::new(|m| Ok(ranks(algo::pagerank_delta(&fwd(), cfg, m)?.to_vec()))),
-            want: ranks(pr_want.clone()),
-        },
-        Row {
-            query: "pr -combine",
-            modes: &[Binned],
-            refused: &[],
-            run: Box::new(|_| Ok(ranks(algo::pagerank_delta_combined(&fwd(), cfg)?.to_vec()))),
-            want: ranks(pr_want.clone()),
+            run: Box::new(|s, m| Ok(ranks(algo::pagerank_delta(&s.fwd(), cfg, m)?.to_vec()))),
+            want: ranks(reference::pagerank_delta(
+                &csr,
+                cfg.damping,
+                cfg.epsilon,
+                cfg.max_iters,
+            )),
         },
         Row {
             query: "wcc",
-            modes: &[Binned, Sync, Async],
-            refused: &[],
-            run: Box::new(|m| Ok(Answer::exact(&algo::wcc(&fwd(), &rev(), m)?.to_vec()))),
+            run: Box::new(|s, m| Ok(Answer::exact(&algo::wcc(&s.fwd(), &s.rev(), m)?.to_vec()))),
             want: Answer::exact(&reference::wcc_labels(&csr)),
         },
         Row {
             query: "spmv",
-            modes: &[Binned, Sync],
-            refused: &[Async],
-            run: Box::new(|m| Ok(sums(algo::spmv(&fwd(), &x, m)?.to_vec()))),
+            run: Box::new(|s, m| Ok(sums(algo::spmv(&s.fwd(), &x, m)?.to_vec()))),
             want: sums(reference::spmv(&csr, &x)),
         },
         Row {
             query: "bc",
-            modes: &[Binned, Sync],
-            refused: &[Async],
-            run: Box::new(|m| Ok(sums(algo::bc(&fwd(), &rev(), root, m)?.to_vec()))),
+            run: Box::new(|s, m| Ok(sums(algo::bc(&s.fwd(), &s.rev(), root, m)?.to_vec()))),
             want: sums(reference::bc_scores(&csr, root)),
         },
         Row {
             query: "sssp",
-            modes: &[Binned, Sync, Async],
-            refused: &[],
-            run: Box::new(|m| Ok(Answer::exact(&algo::sssp(&fwd(), root, m)?.to_vec()))),
+            run: Box::new(|s, m| Ok(Answer::exact(&algo::sssp(&s.fwd(), root, m)?.to_vec()))),
             want: Answer::exact(&reference::sssp_distances(&csr, root)),
         },
         Row {
             query: "kcore",
-            modes: &[Binned, Sync, Async],
-            refused: &[],
-            run: Box::new(|m| Ok(Answer::exact(&algo::kcore(&fwd(), &rev(), k, m)?.to_vec()))),
+            run: Box::new(|s, m| {
+                Ok(Answer::exact(
+                    &algo::kcore(&s.fwd(), &s.rev(), k, m)?.to_vec(),
+                ))
+            }),
             want: Answer::exact(&reference::kcore_alive(&csr, i64::from(k))),
         },
         Row {
             query: "lp",
-            modes: &[Binned, Sync, Async],
-            refused: &[],
-            run: Box::new(|m| Ok(Answer::exact(&algo::label_propagation(&fwd(), m)?.to_vec()))),
+            run: Box::new(|s, m| {
+                Ok(Answer::exact(
+                    &algo::label_propagation(&s.fwd(), m)?.to_vec(),
+                ))
+            }),
             want: Answer::exact(&reference::labelprop_labels(&csr)),
         },
     ];
-    for row in &rows {
-        for &mode in row.modes {
-            let what = format!("{} -mode {mode}", row.query);
-            let got = (row.run)(mode).unwrap_or_else(|e| panic!("{what}: {e}"));
-            got.assert_matches(&row.want, &what);
+    for layout in [VertexLayout::None, VertexLayout::Degree, VertexLayout::Hub] {
+        let dir = tempfile::tempdir().unwrap();
+        let mut setup = Setup::write(&csr, layout, dir.path());
+        let mut cells = vec![(1, Binned), (16, Binned)];
+        if layout == VertexLayout::None {
+            cells.push((setup.queue_depth, Sync));
         }
-        for &mode in row.refused {
-            match (row.run)(mode) {
-                Err(BlazeError::Config(_)) => {}
-                Err(other) => panic!("{} -mode {mode}: wrong error: {other}", row.query),
-                Ok(_) => panic!("{} -mode {mode} must be refused", row.query),
+        for (queue_depth, mode) in cells {
+            setup.queue_depth = queue_depth;
+            for row in &rows {
+                let what = format!(
+                    "{} -mode {mode}, layout {}, queue depth {queue_depth}",
+                    row.query,
+                    layout.name()
+                );
+                let got = (row.run)(&setup, mode).unwrap_or_else(|e| panic!("{what}: {e}"));
+                got.assert_matches(&row.want, &what);
             }
         }
     }

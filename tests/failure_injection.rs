@@ -131,3 +131,46 @@ fn engine_recovers_after_transient_failures() {
         assert!(!out.is_empty());
     }
 }
+
+/// A destination id past the vertex count would index out of the query's
+/// vertex arrays (in scatter for `bfs` under CAS, in gather for `pr`): the
+/// run is refused before scatter reads it, the job fails with a format
+/// error naming the page, its arena comes back whole, and once the page is
+/// good again the same engine answers correctly.
+#[test]
+fn out_of_range_destination_fails_the_job_cleanly() {
+    use blaze::algorithms::{reference, PageRankConfig};
+    use blaze::types::PAGE_SIZE;
+
+    let g = gen::rmat(&gen::RmatConfig::new(9));
+    let storage = Arc::new(StripedStorage::in_memory(1).unwrap());
+    let graph = Arc::new(DiskGraph::create(&g, storage.clone()).unwrap());
+    let mut good = vec![0u8; PAGE_SIZE];
+    storage.read_page(0, &mut good).unwrap();
+    let mut bad = good.clone();
+    bad[..4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+
+    for (mode, idle_pieces) in [(ExecMode::Binned, 2), (ExecMode::Sync, 1)] {
+        let engine = BlazeEngine::new(graph.clone(), EngineOptions::default()).unwrap();
+        storage.write_page(0, &bad).unwrap();
+        let refused = |result: blaze::types::Result<()>, query: &str| match result {
+            Err(BlazeError::Format(m)) => {
+                assert!(m.contains("page 0") && m.contains("2147483647"), "{m}")
+            }
+            other => panic!("{query} -mode {mode}: expected a format error, got {other:?}"),
+        };
+        refused(algo::bfs(&engine, 0, mode).map(drop), "bfs");
+        // The pool (and, binned, the bin space) went back to the arena,
+        // which keeps a pool only if every buffer returned to it.
+        assert_eq!(engine.arena().idle_len(), idle_pieces, "-mode {mode}");
+        let config = PageRankConfig::default();
+        refused(algo::pagerank_delta(&engine, config, mode).map(drop), "pr");
+
+        storage.write_page(0, &good).unwrap();
+        let parent = algo::bfs(&engine, 0, mode).unwrap();
+        let levels = reference::bfs_levels(&g, 0);
+        for (v, &level) in levels.iter().enumerate() {
+            assert_eq!(parent.get(v) == -1, level == -1, "-mode {mode}, vertex {v}");
+        }
+    }
+}
