@@ -58,10 +58,17 @@ impl<V: BinValue> Bin<V> {
     }
 
     /// Appends a batch of records, invoking `on_full(buffer)` each time the
-    /// active buffer fills. Blocks if both buffers are full/out.
-    pub fn append_batch(&self, batch: &[BinRecord<V>], mut on_full: impl FnMut(Vec<BinRecord<V>>)) {
+    /// active buffer fills. Blocks if both buffers are full/out, and returns
+    /// the nanoseconds it was blocked for (0 on the usual path, which takes
+    /// no timestamp).
+    pub fn append_batch(
+        &self,
+        batch: &[BinRecord<V>],
+        mut on_full: impl FnMut(Vec<BinRecord<V>>),
+    ) -> u64 {
         let mut inner = self.inner.lock();
         let mut remaining = batch;
+        let mut stalled_ns = 0;
         loop {
             let space = self.capacity - inner.active.len();
             let take = space.min(remaining.len());
@@ -78,7 +85,9 @@ impl<V: BinValue> Bin<V> {
                     None if remaining.is_empty() => break,
                     None => {
                         // Both buffers busy: wait for gather to return one.
+                        let blocked = std::time::Instant::now();
                         self.spare_returned.wait(&mut inner);
+                        stalled_ns += blocked.elapsed().as_nanos() as u64;
                     }
                 }
             }
@@ -86,6 +95,7 @@ impl<V: BinValue> Bin<V> {
                 break;
             }
         }
+        stalled_ns
     }
 
     /// Pushes the active buffer out even if only partially filled — the

@@ -33,6 +33,9 @@ pub struct BinSpace<V> {
     full_queues: Vec<SegQueue<FullBin<V>>>,
     /// Per-bin record counters for work-trace instrumentation.
     records_per_bin: Vec<CachePadded<AtomicU64>>,
+    /// Nanoseconds appends spent blocked because a bin's two buffers were
+    /// both out with gather; touched only on that path.
+    stall_ns: AtomicU64,
     config: BinningConfig,
     record_bytes: usize,
 }
@@ -57,6 +60,7 @@ impl<V: BinValue> BinSpace<V> {
             bins,
             full_queues,
             records_per_bin,
+            stall_ns: AtomicU64::new(0),
             config,
             record_bytes,
         }
@@ -87,9 +91,12 @@ impl<V: BinValue> BinSpace<V> {
     /// move to the `full_bins` queue.
     pub fn append_batch(&self, bin_id: usize, batch: &[BinRecord<V>]) {
         self.records_per_bin[bin_id].fetch_add(batch.len() as u64, Ordering::Relaxed); // sync-audit: per-bin work counter; read post-join or for heuristics.
-        self.bins[bin_id].append_batch(batch, |records| {
+        let stalled_ns = self.bins[bin_id].append_batch(batch, |records| {
             self.push_full(FullBin { bin_id, records });
         });
+        if stalled_ns > 0 {
+            self.stall_ns.fetch_add(stalled_ns, Ordering::Relaxed); // sync-audit: work counter like `records_per_bin`; read post-join.
+        }
     }
 
     /// Pops one full bin and processes it under the bin's gather lock,
@@ -163,6 +170,12 @@ impl<V: BinValue> BinSpace<V> {
             .collect()
     }
 
+    /// Returns and resets the time appends spent blocked on a bin with both
+    /// buffers out, summed over the scatter threads of one `EdgeMap`.
+    pub fn take_stall_ns(&self) -> u64 {
+        self.stall_ns.swap(0, Ordering::Relaxed) // sync-audit: reset between iterations; scatter threads are quiescent.
+    }
+
     /// Restores the space to its freshly-constructed state so it can be
     /// recycled into a later job's arena checkout: drains any leftover full
     /// buffers back into their bins, resets every bin's pair, and zeroes
@@ -181,6 +194,7 @@ impl<V: BinValue> BinSpace<V> {
             // sync-audit: reset between jobs; the space is quiescent here.
             counter.store(0, Ordering::Relaxed);
         }
+        self.take_stall_ns();
     }
 
     /// The configuration this space was built with.

@@ -139,6 +139,13 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
                     .ok_or_else(|| missing("-binningRatio"))?
                     .parse()
                     .map_err(|e| BlazeError::Config(format!("-binningRatio: {e}")))?;
+                // NaN fails both comparisons.
+                if !(out.binning_ratio > 0.0 && out.binning_ratio < 1.0) {
+                    return Err(BlazeError::Config(format!(
+                        "-binningRatio {} is not a scatter share between 0 and 1",
+                        out.binning_ratio
+                    )));
+                }
             }
             "-binCount" => {
                 out.bin_count = it

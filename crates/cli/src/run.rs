@@ -7,9 +7,8 @@ use std::path::{Path, PathBuf};
 use blaze_binning::BinningConfig;
 use blaze_core::{BlazeEngine, EngineOptions};
 use blaze_graph::DiskGraph;
-use blaze_storage::stats::LATENCY_BUCKET_UPPER_NS;
 use blaze_storage::{BlockDevice, DeviceProfile, FileDevice, SimDevice, StripedStorage};
-use blaze_types::{BlazeError, Result};
+use blaze_types::{BlazeError, Result, LATENCY_BUCKET_UPPER_NS};
 
 use crate::args::CliArgs;
 
@@ -192,17 +191,22 @@ pub fn print_run_summary(query: &str, engine: &BlazeEngine, wall: std::time::Dur
     if engine.options().scan_sharing {
         println!(
             "shared: {} pages ({} bytes) served from other jobs' reads, {} flights led",
-            stats.shared_hit_pages, stats.shared_bytes, stats.flights_led
+            stats.shared_hit_pages,
+            stats.shared_bytes(),
+            stats.flights_led
         );
     }
     if stats.scatter_ns > 0 || stats.gather_ns > 0 {
         // Per-stage compute profile: worker-summed busy time, so totals can
         // exceed wall time when several workers overlap.
         println!(
-            "compute: scatter {:.3} s, gather {:.3} s, io wait {:.3} s",
+            "compute: scatter {:.3} s, gather {:.3} s, io wait {:.3} s, \
+             bin stall {:.3} s, gather idle {:.3} s",
             stats.scatter_ns as f64 / 1e9,
             stats.gather_ns as f64 / 1e9,
-            stats.io_wait_ns as f64 / 1e9
+            stats.io_wait_ns as f64 / 1e9,
+            stats.bin_stall_ns as f64 / 1e9,
+            stats.gather_idle_ns as f64 / 1e9
         );
     }
     let busy_ns: u64 = graph

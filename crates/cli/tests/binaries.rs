@@ -636,3 +636,86 @@ fn convert_text_edge_list_then_query() {
     assert!(ok, "bfs on converted graph failed: {text}");
     assert!(text.contains("reached 4 vertices"), "{text}");
 }
+
+/// `-binningRatio` is the scatter share of the compute workers: `nan`,
+/// `inf` and `-5` used to be accepted and silently clamped to one worker.
+#[test]
+fn binning_ratio_outside_the_unit_interval_is_a_usage_error() {
+    for value in ["nan", "inf", "-5", "0", "1"] {
+        assert_usage_error(
+            env!("CARGO_BIN_EXE_bfs"),
+            &["-binningRatio", value],
+            &["-binningRatio"],
+        );
+    }
+}
+
+/// A device array that is not the stripe set the index describes used to
+/// answer with a different graph's result and exit 0 (one file given
+/// twice), or fail only once a query reached the missing page (a stripe
+/// left out, a truncated file).
+#[test]
+fn wrong_stripe_set_is_a_format_error_not_a_wrong_answer() {
+    let dir = tempfile::tempdir().unwrap();
+    let (index, adj0, adj1, _) = gen_graph(dir.path());
+    let short = dir.path().join("short.adj.1");
+    let bytes = std::fs::read(&adj1).unwrap();
+    std::fs::write(&short, &bytes[..bytes.len() - 100]).unwrap();
+    let short = short.to_str().unwrap();
+    // The same graph as one stripe, whose only file is then given twice.
+    let one = dir.path().join("one");
+    let (ok, text) = run(
+        env!("CARGO_BIN_EXE_gengraph"),
+        &["rmat27", one.to_str().unwrap(), "--scale", "tiny"],
+    );
+    assert!(ok, "gengraph failed: {text}");
+    let one_index = one.join("rmat27.gr.index");
+    let one_adj = one.join("rmat27.gr.adj.0");
+    let (one_index, one_adj) = (one_index.to_str().unwrap(), one_adj.to_str().unwrap());
+    let sets: [&[&str]; 3] = [
+        &[one_index, one_adj, one_adj],
+        &[&index, &adj0],
+        &[&index, &adj0, short],
+    ];
+    for files in sets {
+        for bin in [env!("CARGO_BIN_EXE_bfs"), env!("CARGO_BIN_EXE_pr")] {
+            let mut args = vec!["-device", "none"];
+            args.extend(files);
+            let (code, text) = run_watched(bin, &args);
+            assert_eq!(code, Some(1), "{bin} {files:?}: {text}");
+            assert!(text.contains("format error: device"), "{files:?}: {text}");
+            assert!(!text.contains("reached"), "{files:?}: {text}");
+            assert!(!text.contains("top-ranked"), "{files:?}: {text}");
+        }
+    }
+}
+
+/// An edge list may name any 32-bit id, and the graph is sized to the
+/// largest one: 13 bytes of input ask for 34 GB of per-vertex arrays.
+/// Under an address-space limit the allocator refuses on any machine, and
+/// `convert` must say so and exit 1, not abort (134).
+#[test]
+fn huge_sparse_vertex_id_is_an_error_not_an_abort() {
+    let dir = tempfile::tempdir().unwrap();
+    let text_input = dir.path().join("e.txt");
+    std::fs::write(&text_input, "0 4294967295\n").unwrap();
+    let binary_input = dir.path().join("e.bin");
+    let mut bytes = 1u64.to_le_bytes().to_vec();
+    bytes.extend(0u32.to_le_bytes());
+    bytes.extend(u32::MAX.to_le_bytes());
+    std::fs::write(&binary_input, bytes).unwrap();
+    let out = dir.path().join("out");
+    for (input, flag) in [(&text_input, ""), (&binary_input, "--binary")] {
+        let script = format!(
+            "ulimit -v 4000000; exec {} {} {} {flag}",
+            env!("CARGO_BIN_EXE_convert"),
+            input.display(),
+            out.display()
+        );
+        let (code, text) = run_watched("sh", &["-c", &script]);
+        assert_eq!(code, Some(1), "{flag}: {text}");
+        assert!(text.contains("4294967296 vertices"), "{flag}: {text}");
+        assert!(text.contains("34359738376 bytes"), "{flag}: {text}");
+        assert!(text.contains("io error: no memory"), "{flag}: {text}");
+    }
+}

@@ -21,9 +21,10 @@ use blaze_binning::{BinSpace, BinValue, BinningConfig, ScatterStaging};
 use blaze_frontier::{PageSubset, VertexSubset};
 use blaze_graph::DiskGraph;
 use blaze_storage::{
-    BufferPool, FlightTable, IoBackend, JobIoStats, PageCache, SyncBackend, ThreadedBackend,
+    BufferPool, FlightTable, IoBackend, JobIoStats, PageCache, StatsRow, SyncBackend,
+    ThreadedBackend,
 };
-use blaze_types::{BlazeError, IterationTrace, Result, VertexId};
+use blaze_types::{BlazeError, IterationTrace, JobCounter, Result, VertexId};
 
 use crate::arena::EngineArena;
 use crate::options::EngineOptions;
@@ -342,8 +343,6 @@ impl BlazeEngine {
             io_done: AtomicUsize::new(0),
             scatters_done: AtomicUsize::new(0),
             all_scatter_done: AtomicBool::new(false),
-            edges_processed: AtomicU64::new(0),
-            records_sync: AtomicU64::new(0),
             error: Mutex::new(None),
             order: AtomicU64::new(u64::MAX),
             io_stats: JobIoStats::new(num_devices),
@@ -355,9 +354,17 @@ impl BlazeEngine {
         self.runtime.submit(&job, !sync_variant);
 
         let error = job.error.lock().take();
-        let edges_processed = job.edges_processed.load(Ordering::Relaxed); // sync-audit: trace counter; job completed.
-        let records_sync = job.records_sync.load(Ordering::Relaxed); // sync-audit: trace counter; job completed.
         let mut trace = IterationTrace::new(num_devices);
+        if let Some(space) = &space {
+            // What the bin space counted for the job joins the job's own.
+            trace.records_per_bin = space.take_record_counts();
+            let records = trace.records_per_bin.iter().sum();
+            let row = StatsRow::Compute;
+            job.io_stats
+                .record(row, JobCounter::RecordsProduced, records);
+            job.io_stats
+                .record(row, JobCounter::BinStallNs, space.take_stall_ns());
+        }
         fill_io_trace_from_job(&mut trace, &job.io_stats);
         drop(job);
 
@@ -378,14 +385,9 @@ impl BlazeEngine {
         // Record the iteration's work trace.
         let wall_ns = t0.elapsed().as_nanos() as u64;
         trace.frontier_size = frontier.len() as u64;
-        trace.edges_processed = edges_processed;
         if sync_variant {
-            trace.records_produced = records_sync;
-            trace.atomic_ops = records_sync;
-        } else if let Some(space) = &space {
-            let counts = space.take_record_counts();
-            trace.records_produced = counts.iter().sum();
-            trace.records_per_bin = counts;
+            trace.atomic_ops = trace.records_produced;
+        } else {
             trace.bin_buffer_capacity = self
                 .binning
                 .buffer_capacity(std::mem::size_of::<blaze_binning::BinRecord<V>>())
@@ -398,9 +400,7 @@ impl BlazeEngine {
         self.arena.recycle_pool(pool);
 
         self.stats.lock().absorb(&trace, wall_ns);
-        if self.options.record_trace {
-            self.traces.lock().push(trace);
-        }
+        self.traces.lock().push(trace);
 
         let mut out = out;
         out.seal();
@@ -437,8 +437,6 @@ where
     scatters_done: AtomicUsize,
     /// Set by the last departing scatter worker, releasing gather.
     all_scatter_done: AtomicBool,
-    edges_processed: AtomicU64,
-    records_sync: AtomicU64,
     /// First error of the job (a failed read, or a run scatter refused);
     /// later errors are dropped (the first one is the cause, the rest are
     /// downstream noise).
@@ -588,12 +586,13 @@ where
             staging.flush(space);
             busy_ns += t.elapsed().as_nanos() as u64;
         }
-        self.io_stats.add_scatter_ns(busy_ns);
-        self.io_stats.add_io_wait_ns(wait_ns);
-        self.edges_processed
-            .fetch_add(local_edges, Ordering::Relaxed); // sync-audit: trace counter; read only after the job completes.
-        self.records_sync
-            .fetch_add(local_records, Ordering::Relaxed); // sync-audit: trace counter; read only after the job completes.
+        let row = StatsRow::Compute;
+        self.io_stats.record(row, JobCounter::ScatterNs, busy_ns);
+        self.io_stats.record(row, JobCounter::IoWaitNs, wait_ns);
+        self.io_stats
+            .record(row, JobCounter::EdgesProcessed, local_edges);
+        self.io_stats
+            .record(row, JobCounter::RecordsProduced, local_records);
     }
 
     /// Gather role (steps 8-9); not dispatched in the sync variant. Each
@@ -605,6 +604,7 @@ where
             return;
         };
         let mut busy_ns = 0u64;
+        let mut idle_ns = 0u64;
         let backoff = Backoff::new();
         loop {
             let t = Instant::now();
@@ -626,8 +626,13 @@ where
                 break;
             }
             backoff.snooze();
+            // From `t`: the poll that found nothing is idle time as well,
+            // and the idle path reads the clock once more, not twice.
+            idle_ns += t.elapsed().as_nanos() as u64;
         }
-        self.io_stats.add_gather_ns(busy_ns);
+        let row = StatsRow::Compute;
+        self.io_stats.record(row, JobCounter::GatherNs, busy_ns);
+        self.io_stats.record(row, JobCounter::GatherIdleNs, idle_ns);
     }
 }
 

@@ -32,9 +32,6 @@ pub struct EngineOptions {
     /// paper's stated future work and recovers the sk2005 loss to
     /// FlashGraph (Section V-B).
     pub cache_bytes: usize,
-    /// Whether to record per-iteration work traces for the performance
-    /// model.
-    pub record_trace: bool,
     /// Cap on the per-device in-flight request window (the CLI's `-qd`).
     /// The default, [`DEFAULT_QUEUE_DEPTH`], lets the IO backend adapt to
     /// the device: it reads inline, one request at a time, while the device
@@ -73,7 +70,6 @@ impl Default for EngineOptions {
             merge_window: MAX_MERGED_PAGES,
             binning: None,
             cache_bytes: 0,
-            record_trace: true,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             scan_sharing: false,
             scan_share_lanes: 4,

@@ -26,9 +26,9 @@
 use blaze_storage::request::merge_pages_with_window;
 use blaze_storage::{
     BufferPool, FlightLease, FlightPart, FlightTable, IoBackend, IoBuffer, IoRequest, JobIoStats,
-    PageBatch, PageCache, PageFrame, StripedStorage,
+    PageBatch, PageCache, PageFrame, StatsRow, StripedStorage,
 };
-use blaze_types::{BlazeError, LocalPageId, PageId, Result, PAGE_SIZE};
+use blaze_types::{BlazeError, JobCounter, LocalPageId, PageId, Result, PAGE_SIZE};
 
 /// One IO worker's view of one job: the engine's storage stack for device
 /// `dev` plus the job's pool, counters and submission seniority.
@@ -79,6 +79,12 @@ impl PageSupply<'_> {
         self.pool.push_filled(batch);
     }
 
+    /// Folds `value` into one of the job's counters, on this device's row.
+    fn count(&self, counter: JobCounter, value: u64) {
+        self.stats
+            .record(StatsRow::Device(self.dev), counter, value);
+    }
+
     fn global(&self, local: LocalPageId) -> PageId {
         self.storage.global_page(self.dev, local)
     }
@@ -119,10 +125,10 @@ impl PageSupply<'_> {
             self.emit(PageBatch::shared(frames, pages));
         }
         if hits > 0 {
-            self.stats.record_cache_hits(self.dev, hits);
+            self.count(JobCounter::CacheHitPages, hits);
         }
         if hot_hits > 0 {
-            self.stats.record_cache_hot_hits(self.dev, hot_hits);
+            self.count(JobCounter::CacheHotHitPages, hot_hits);
         }
         misses
     }
@@ -161,7 +167,7 @@ impl PageSupply<'_> {
             }
         }
         if !leads.is_empty() {
-            self.stats.record_flights_led(self.dev, leads.len() as u64);
+            self.count(JobCounter::FlightsLed, leads.len() as u64);
         }
         self.read(&leads, leases)?;
         let mut fallback: Vec<IoRequest> = Vec::new();
@@ -192,7 +198,7 @@ impl PageSupply<'_> {
             }
         }
         if shared_pages > 0 {
-            self.stats.record_shared_hits(self.dev, shared_pages);
+            self.count(JobCounter::SharedHitPages, shared_pages);
         }
         match first_error {
             Some(e) => Err(e),
@@ -300,7 +306,7 @@ impl PageSupply<'_> {
 
     /// Inserts freshly read pages into the cache and counts the outcome.
     fn admit(&self, cache: &PageCache, pages: &[PageId], frames: &[PageFrame]) {
-        self.stats.record_cache_misses(self.dev, pages.len() as u64);
+        self.count(JobCounter::CacheMissPages, pages.len() as u64);
         let mut evictions = 0u64;
         let mut hot_admits = 0u64;
         for (&page, frame) in pages.iter().zip(frames) {
@@ -309,10 +315,10 @@ impl PageSupply<'_> {
             hot_admits += u64::from(outcome.hot_admitted);
         }
         if evictions > 0 {
-            self.stats.record_cache_evictions(self.dev, evictions);
+            self.count(JobCounter::CacheEvictions, evictions);
         }
         if hot_admits > 0 {
-            self.stats.record_cache_hot_admits(self.dev, hot_admits);
+            self.count(JobCounter::CacheHotAdmits, hot_admits);
         }
     }
 }
@@ -521,7 +527,7 @@ mod tests {
             .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert_eq!(t.io_max_in_flight, 1);
-        assert!((t.io_mean_in_flight - 1.0).abs() < 1e-9);
+        assert!((t.io_mean_in_flight() - 1.0).abs() < 1e-9);
         assert_eq!(
             t.io_latency_buckets.iter().sum::<u64>(),
             t.total_io_requests(),
@@ -542,8 +548,8 @@ mod tests {
             "scan too small for the window"
         );
         assert_eq!(t.io_max_in_flight, depth);
-        assert!(t.io_mean_in_flight > 1.0);
-        assert!(t.io_mean_in_flight <= depth as f64);
+        assert!(t.io_mean_in_flight() > 1.0);
+        assert!(t.io_mean_in_flight() <= depth as f64);
         assert_eq!(
             t.io_latency_buckets.iter().sum::<u64>(),
             t.total_io_requests()
@@ -696,7 +702,7 @@ mod tests {
         assert_eq!(traces[1].flights_led, 0);
         let stats = e.stats();
         assert_eq!(stats.shared_hit_pages, pages);
-        assert_eq!(stats.shared_bytes, pages * PAGE_SIZE as u64);
+        assert_eq!(stats.shared_bytes(), pages * PAGE_SIZE as u64);
         assert!(stats.flights_led > 0);
     }
 
@@ -865,7 +871,7 @@ mod tests {
             pool.finish(batch);
         }
         assert_eq!(delivered, pages, "every page once, in order");
-        assert_eq!(stats.cache_totals().0, pages.len() as u64);
+        assert_eq!(stats.totals().cache_hit_pages, pages.len() as u64);
         assert_eq!(stats.snapshots()[0].read_ops, 0, "no device read");
     }
 

@@ -305,7 +305,7 @@ fn a_device_that_stops_being_slow_is_read_inline_again() {
     assert!(traces[0].total_io_requests() > 512, "scan too short");
     assert!(traces[0].io_max_in_flight > 1, "the cold scan went deep");
     assert_eq!(traces[1].io_max_in_flight, 1, "the warm scan is inline");
-    assert!((traces[1].io_mean_in_flight - 1.0).abs() < 1e-9);
+    assert!((traces[1].io_mean_in_flight() - 1.0).abs() < 1e-9);
 }
 
 #[test]

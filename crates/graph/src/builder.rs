@@ -1,6 +1,6 @@
 //! Edge-list to CSR construction.
 
-use blaze_types::VertexId;
+use blaze_types::{Result, VertexId};
 
 use crate::csr::Csr;
 
@@ -59,9 +59,18 @@ impl GraphBuilder {
         self.edges.len()
     }
 
+    /// [`try_build`](Self::try_build) for a vertex count the program chose
+    /// itself (generators, tests): running out of memory for it is a panic.
+    pub fn build(self) -> Csr {
+        // panic-audit: the vertex count is the caller's own, not input.
+        self.try_build().expect("graph builder")
+    }
+
     /// Builds the CSR. Neighbors of each vertex are sorted ascending, which
-    /// makes the on-disk layout deterministic.
-    pub fn build(mut self) -> Csr {
+    /// makes the on-disk layout deterministic. A vertex count whose
+    /// per-vertex arrays the allocator refuses (an edge list may name any
+    /// 32-bit id) is an error, not an abort.
+    pub fn try_build(mut self) -> Result<Csr> {
         if self.drop_self_loops {
             self.edges.retain(|&(s, d)| s != d);
         }
@@ -71,14 +80,16 @@ impl GraphBuilder {
         }
         let n = self.num_vertices;
         // Counting sort by source.
-        let mut counts = vec![0u64; n + 1];
+        let mut counts = per_vertex_array(n)?;
+        counts.resize(n + 1, 0);
         for &(s, _) in &self.edges {
             counts[s as usize + 1] += 1;
         }
         for i in 1..=n {
             counts[i] += counts[i - 1];
         }
-        let offsets = counts.clone();
+        let mut offsets = per_vertex_array(n)?;
+        offsets.extend_from_slice(&counts);
         let mut cursor = counts;
         let mut neighbors = vec![0 as VertexId; self.edges.len()];
         for &(s, d) in &self.edges {
@@ -88,7 +99,8 @@ impl GraphBuilder {
         }
         // Sort each adjacency list; dedup in place if requested.
         if self.dedup {
-            let mut new_offsets = vec![0u64; n + 1];
+            let mut new_offsets = per_vertex_array(n)?;
+            new_offsets.resize(n + 1, 0);
             let mut write = 0usize;
             for v in 0..n {
                 let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
@@ -105,13 +117,29 @@ impl GraphBuilder {
                 new_offsets[v + 1] = write as u64;
             }
             neighbors.truncate(write);
-            return Csr::from_parts(new_offsets, neighbors);
+            return Ok(Csr::from_parts(new_offsets, neighbors));
         }
         for v in 0..n {
             neighbors[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
         }
-        Csr::from_parts(offsets, neighbors)
+        Ok(Csr::from_parts(offsets, neighbors))
     }
+}
+
+/// An empty vector with room for `num_vertices + 1` offsets, or an error
+/// naming what was asked for.
+fn per_vertex_array(num_vertices: usize) -> Result<Vec<u64>> {
+    let len = num_vertices + 1;
+    let mut array = Vec::new();
+    array.try_reserve_exact(len).map_err(|_| {
+        let bytes = len as u128 * 8;
+        let what = format!(
+            "no memory for a graph of {num_vertices} vertices: \
+             one per-vertex array is {bytes} bytes"
+        );
+        std::io::Error::new(std::io::ErrorKind::OutOfMemory, what)
+    })?;
+    Ok(array)
 }
 
 #[cfg(test)]

@@ -234,6 +234,27 @@ pub fn save_files_with_layout(
     Ok((index_path, adj_paths))
 }
 
+/// Refuses a device array that is not the stripe set of a graph of `pages`
+/// adjacency pages: device `d` of `n` holds the pages `p` with `p % n == d`,
+/// whole and nothing more. The one file given twice, a stripe left out, or a
+/// truncated file would otherwise read as a different graph, or fail only
+/// when a query first reaches the missing page.
+fn check_stripe_set(storage: &StripedStorage, pages: u64) -> Result<()> {
+    let n = storage.num_devices() as u64;
+    for (d, device) in storage.devices().iter().enumerate() {
+        let expected = pages.saturating_sub(d as u64).div_ceil(n);
+        if device.len() != expected * PAGE_SIZE as u64 {
+            return Err(BlazeError::Format(format!(
+                "device {d} of {n} holds {} pages ({} bytes); of the {pages} pages the \
+                 index describes, stripe {d} of {n} has exactly {expected}",
+                device.num_pages(),
+                device.len()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A disk-resident graph: striped adjacency pages plus in-memory metadata.
 ///
 /// This is the graph handle the out-of-core engine operates on. It holds no
@@ -300,6 +321,7 @@ impl DiskGraph {
             }
             None => VertexPermutation::identity(index.num_vertices()),
         };
+        check_stripe_set(&storage, pagemap.num_pages())?;
         Ok(Self {
             storage,
             index,

@@ -58,7 +58,7 @@ pub fn read_edge_list_text<R: Read>(reader: R, dedup: bool) -> Result<Csr> {
     };
     let mut b = GraphBuilder::new(n).dedup(dedup);
     b.extend(edges);
-    Ok(b.build())
+    b.try_build()
 }
 
 /// Reads a text edge list from a file path.
@@ -121,7 +121,7 @@ pub fn read_edge_list_binary<R: Read>(reader: R, dedup: bool) -> Result<Csr> {
     };
     let mut b = GraphBuilder::new(n).dedup(dedup);
     b.extend(edges);
-    Ok(b.build())
+    b.try_build()
 }
 
 #[cfg(test)]

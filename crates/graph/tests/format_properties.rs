@@ -79,4 +79,40 @@ proptest! {
         std::fs::write(&path, &bytes[..bytes.len() - cut]).unwrap();
         prop_assert!(read_index_file(&path).is_err());
     }
+
+    /// A device array that is not the stripe set the index describes is a
+    /// `Format` error at open: the one file of a one-stripe graph given
+    /// twice, a stripe left out, a stripe cut short and a stripe with
+    /// bytes appended. Before the check the first read as a different
+    /// graph and the others failed only when a query reached the page.
+    #[test]
+    fn wrong_stripe_sets_are_rejected_at_open(
+        edges in proptest::collection::vec((0u32..64, 0u32..64), 3000..6000),
+        stripes in 2usize..4,
+        victim in 0usize..3,
+        bytes in 1usize..4097,
+    ) {
+        let mut b = GraphBuilder::new(64);
+        b.extend(edges);
+        let g = b.build();
+        let is_format = |r: blaze_types::Result<DiskGraph>| matches!(r, Err(blaze_types::BlazeError::Format(_)));
+        let dir = tempfile::tempdir().unwrap();
+
+        let (index, adj) = save_files(&g, dir.path(), "one.gr", 1).unwrap();
+        prop_assert!(DiskGraph::open_files(&index, &adj).is_ok());
+        prop_assert!(is_format(DiskGraph::open_files(&index, &[adj[0].clone(), adj[0].clone()])));
+
+        let (index, adj) = save_files(&g, dir.path(), "g.gr", stripes).unwrap();
+        prop_assert!(is_format(DiskGraph::open_files(&index, &adj[..stripes - 1])));
+        let victim = &adj[victim % stripes];
+        let whole = std::fs::read(victim).unwrap();
+        std::fs::write(victim, &whole[..whole.len() - bytes]).unwrap();
+        prop_assert!(is_format(DiskGraph::open_files(&index, &adj)));
+        let mut long = whole.clone();
+        long.resize(whole.len() + bytes, 0);
+        std::fs::write(victim, &long).unwrap();
+        prop_assert!(is_format(DiskGraph::open_files(&index, &adj)));
+        std::fs::write(victim, &whole).unwrap();
+        prop_assert!(DiskGraph::open_files(&index, &adj).is_ok());
+    }
 }

@@ -71,7 +71,6 @@ impl BlockDevice for FileDevice {
         self.file.write_all_at(buf, offset)?;
         let end = offset + buf.len() as u64;
         self.len.fetch_max(end, Ordering::AcqRel);
-        self.stats.record_write(buf.len() as u64);
         Ok(())
     }
 

@@ -59,5 +59,5 @@ pub use recorder::RecordingDevice;
 pub use request::{merge_pages, IoRequest};
 pub use sim::SimDevice;
 pub use slow::SlowDevice;
-pub use stats::{IoStats, JobIoStats};
+pub use stats::{IoStats, JobIoStats, StatsRow};
 pub use stripe::StripedStorage;

@@ -62,7 +62,6 @@ impl BlockDevice for MemDevice {
             data.resize(end, 0);
         }
         data[offset as usize..end].copy_from_slice(buf);
-        self.stats.record_write(buf.len() as u64);
         Ok(())
     }
 

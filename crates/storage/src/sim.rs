@@ -90,9 +90,7 @@ impl<D: BlockDevice> BlockDevice for SimDevice<D> {
     }
 
     fn write_at(&self, offset: u64, buf: &[u8]) -> Result<()> {
-        self.inner.write_at(offset, buf)?;
-        self.stats.record_write(buf.len() as u64);
-        Ok(())
+        self.inner.write_at(offset, buf)
     }
 
     fn len(&self) -> u64 {

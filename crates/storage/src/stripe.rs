@@ -158,11 +158,6 @@ impl StripedStorage {
         self.devices.iter().map(|d| d.num_pages()).sum()
     }
 
-    /// Aggregated bytes read across all devices.
-    pub fn total_read_bytes(&self) -> u64 {
-        self.devices.iter().map(|d| d.stats().read_bytes()).sum()
-    }
-
     /// Per-device read bytes, for IO-skew measurements (Figure 3).
     pub fn read_bytes_per_device(&self) -> Vec<u64> {
         self.devices

@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 
 pub mod constants;
+pub mod counters;
 pub mod error;
 pub mod ids;
 pub mod rng;
@@ -18,8 +19,9 @@ pub mod trace;
 pub mod util;
 
 pub use constants::*;
+pub use counters::{Fold, JobCounter, JobCounters, LATENCY_BUCKETS, LATENCY_BUCKET_UPPER_NS};
 pub use error::{BlazeError, Result};
 pub use ids::{DeviceId, EdgeOffset, LocalPageId, PageId, VertexId};
 pub use rng::SplitMix64;
-pub use trace::{EnginePhase, IterationTrace, QueryTrace};
+pub use trace::IterationTrace;
 pub use util::CachePadded;

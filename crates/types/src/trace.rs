@@ -11,100 +11,45 @@
 //! All quantities in these structs are **measured** from real executions of
 //! the real algorithms; only the time axis is modeled.
 
-/// A named phase of engine execution, used to attribute modeled time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnginePhase {
-    /// Transforming the vertex frontier into the page frontier.
-    FrontierTransform,
-    /// Reading pages from the device array.
-    Io,
-    /// Scatter: decoding pages and appending bin records.
-    Scatter,
-    /// Gather: applying bin records to vertex data.
-    Gather,
-    /// FlashGraph-style end-of-iteration message processing.
-    MessageProcessing,
-    /// In-memory vertex map.
-    VertexMap,
-}
+use crate::counters::LATENCY_BUCKETS;
 
-/// Work performed by one iteration (one `EdgeMap` round) of a query.
-#[derive(Debug, Clone, Default)]
-pub struct IterationTrace {
-    /// Bytes read from each device during this iteration.
-    pub io_bytes_per_device: Vec<u64>,
-    /// Number of IO requests issued to each device.
-    pub io_requests_per_device: Vec<u64>,
-    /// Of the requests above, how many were sequential with their predecessor
-    /// (per device). Drives the seq/rand bandwidth split of the device model.
-    pub io_sequential_requests_per_device: Vec<u64>,
-    /// Number of frontier vertices at the start of the iteration.
-    pub frontier_size: u64,
-    /// Total edges examined by scatter (i.e. `scatter`+`cond` evaluations).
-    pub edges_processed: u64,
-    /// Total bin records produced (edges that passed `cond`).
-    pub records_produced: u64,
-    /// Records destined to each bin. Gather work is balanced across threads
-    /// at bin granularity, so the max/mean of this vector measures residual
-    /// gather imbalance.
-    pub records_per_bin: Vec<u64>,
-    /// FlashGraph only: messages queued to each computation thread
-    /// (`thread = dst % nthreads`). The max of this vector is the straggler.
-    pub messages_per_thread: Vec<u64>,
-    /// Number of vertices touched by the in-memory vertex-map phase.
-    pub vertex_map_size: u64,
-    /// Number of atomic read-modify-write operations issued (sync variant
-    /// and FlashGraph-style engines; zero for online binning).
-    pub atomic_ops: u64,
-    /// Number of page-cache hits (the engine's clock cache or FlashGraph's
-    /// LRU cache); these pages cost no IO.
-    pub cache_hit_pages: u64,
-    /// Number of page-cache lookups that missed and went to the device.
-    /// Zero when no cache is configured.
-    pub cache_miss_pages: u64,
-    /// Number of resident pages the cache evicted while absorbing this
-    /// iteration's fills.
-    pub cache_evictions: u64,
-    /// Cache hits that fell in the graph's hot (hub) page region — the
-    /// pages a degree-aware layout packed to the front of the stream.
-    pub cache_hot_hit_pages: u64,
-    /// Fills the cache admitted with a hot-region second-chance credit.
-    pub cache_hot_admits: u64,
-    /// Pages this job received from another job's in-flight (or recently
-    /// retained) device read via the scan-sharing flight table; these
-    /// pages cost no device IO for this job.
-    pub shared_hit_pages: u64,
-    /// Bytes corresponding to `shared_hit_pages` — the device IO this job
-    /// avoided by subscribing to other jobs' flights.
-    pub shared_bytes: u64,
-    /// Scan-sharing flights this job led (device reads it issued on
-    /// behalf of itself plus any subscribers).
-    pub flights_led: u64,
-    /// Records per bin buffer in the binning configuration that produced
-    /// this trace (0 when binning was not used). Drives the bin-handoff
-    /// cost of the performance model.
-    pub bin_buffer_capacity: u64,
-    /// Maximum in-flight IO depth observed on any device at submission
-    /// time (1 for the synchronous backend; 0 when no requests were
-    /// issued).
-    pub io_max_in_flight: u64,
-    /// Mean in-flight IO depth over submissions (0.0 when no requests
-    /// were issued).
-    pub io_mean_in_flight: f64,
-    /// Per-request service-time histogram across devices, log-scale:
-    /// bucket `i` counts requests that took `[4^i, 4^(i+1))` µs. Empty
-    /// when no requests were issued.
-    pub io_latency_buckets: Vec<u64>,
-    /// Nanoseconds scatter workers spent decoding pages and staging
-    /// records, summed across workers (so it can exceed wall time).
-    pub scatter_ns: u64,
-    /// Nanoseconds gather workers spent applying full bins, summed across
-    /// workers (zero for the sync variant, which gathers inline).
-    pub gather_ns: u64,
-    /// Nanoseconds scatter workers spent idle waiting for filled buffers —
-    /// the compute-side view of an IO-bound iteration.
-    pub io_wait_ns: u64,
-}
+crate::job_counter_table! { crate::struct_with_job_counters, {
+    /// Work performed by one iteration (one `EdgeMap` round) of a query. The
+    /// table counters of [`job_counter_table!`](crate::job_counter_table!)
+    /// follow the fields written out here.
+    #[derive(Debug, Clone, Default)]
+    pub struct IterationTrace {
+        /// Bytes read from each device during this iteration.
+        pub io_bytes_per_device: Vec<u64>,
+        /// Number of IO requests issued to each device.
+        pub io_requests_per_device: Vec<u64>,
+        /// Of the requests above, how many were sequential with their
+        /// predecessor (per device). Drives the seq/rand bandwidth split of
+        /// the device model.
+        pub io_sequential_requests_per_device: Vec<u64>,
+        /// Number of frontier vertices at the start of the iteration.
+        pub frontier_size: u64,
+        /// Records destined to each bin. Gather work is balanced across
+        /// threads at bin granularity, so the max/mean of this vector
+        /// measures residual gather imbalance.
+        pub records_per_bin: Vec<u64>,
+        /// FlashGraph only: messages queued to each computation thread
+        /// (`thread = dst % nthreads`). The max of this vector is the straggler.
+        pub messages_per_thread: Vec<u64>,
+        /// Number of vertices touched by the in-memory vertex-map phase.
+        pub vertex_map_size: u64,
+        /// Number of atomic read-modify-write operations issued (sync variant
+        /// and FlashGraph-style engines; zero for online binning).
+        pub atomic_ops: u64,
+        /// Records per bin buffer in the binning configuration that produced
+        /// this trace (0 when binning was not used). Drives the bin-handoff
+        /// cost of the performance model.
+        pub bin_buffer_capacity: u64,
+        /// Per-request service-time histogram across devices, log-scale:
+        /// bucket `i` counts requests that took `[4^i, 4^(i+1))` µs.
+        pub io_latency_buckets: [u64; LATENCY_BUCKETS],
+    }
+}}
 
 impl IterationTrace {
     /// Creates an empty trace for an engine running over `num_devices`.
@@ -152,41 +97,6 @@ impl IterationTrace {
     }
 }
 
-/// The complete trace of one query execution: one entry per iteration.
-#[derive(Debug, Clone, Default)]
-pub struct QueryTrace {
-    /// Human-readable query name, e.g. `"bfs"`.
-    pub query: String,
-    /// Dataset short name, e.g. `"r2"`.
-    pub dataset: String,
-    /// Per-iteration work records, in execution order.
-    pub iterations: Vec<IterationTrace>,
-}
-
-impl QueryTrace {
-    /// Creates an empty trace for `query` over `dataset`.
-    pub fn new(query: impl Into<String>, dataset: impl Into<String>) -> Self {
-        Self {
-            query: query.into(),
-            dataset: dataset.into(),
-            iterations: Vec::new(),
-        }
-    }
-
-    /// Total bytes read across the whole query.
-    pub fn total_io_bytes(&self) -> u64 {
-        self.iterations
-            .iter()
-            .map(IterationTrace::total_io_bytes)
-            .sum()
-    }
-
-    /// Total edges examined across the whole query.
-    pub fn total_edges(&self) -> u64 {
-        self.iterations.iter().map(|i| i.edges_processed).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,30 +128,5 @@ mod tests {
         assert_eq!(t.total_io_bytes(), 0);
         assert_eq!(t.io_skew_bytes(), 0);
         assert_eq!(t.message_skew(), 1.0);
-    }
-
-    #[test]
-    fn query_trace_accumulates() {
-        let mut q = QueryTrace::new("bfs", "r2");
-        let mut i1 = IterationTrace::new(1);
-        i1.io_bytes_per_device = vec![4096];
-        i1.edges_processed = 10;
-        let mut i2 = IterationTrace::new(1);
-        i2.io_bytes_per_device = vec![8192];
-        i2.edges_processed = 20;
-        q.iterations.push(i1);
-        q.iterations.push(i2);
-        assert_eq!(q.total_io_bytes(), 12288);
-        assert_eq!(q.total_edges(), 30);
-    }
-
-    #[test]
-    fn traces_clone_deeply() {
-        let mut q = QueryTrace::new("pr", "r3");
-        q.iterations.push(IterationTrace::new(2));
-        let back = q.clone();
-        assert_eq!(back.query, "pr");
-        assert_eq!(back.iterations.len(), 1);
-        assert_eq!(back.iterations[0].io_bytes_per_device.len(), 2);
     }
 }

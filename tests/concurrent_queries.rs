@@ -123,3 +123,65 @@ fn mixed_mode_submissions_interleave() {
         }
     });
 }
+
+/// The two stall counters name the slow side. Over the small-bin
+/// configuration above, a gather that sleeps leaves scatter blocked on a bin
+/// whose two buffers are both out (`bin_stall_ns`, a part of `scatter_ns`);
+/// the same scan with the sleep in scatter leaves gather with nothing to
+/// process (`gather_idle_ns`). Each bin receives about eight buffers of
+/// records and a sleeping gather needs 4 ms a buffer, so scatter cannot
+/// avoid running two buffers ahead.
+#[test]
+fn stall_counters_name_the_slow_side() {
+    use blaze::frontier::VertexSubset;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
+
+    let csr = gen::rmat(&gen::RmatConfig::new(11));
+    let options =
+        EngineOptions::default().with_binning(BinningConfig::new(4, 64 << 10, 8).unwrap());
+    let engine = engine_over(&csr, 2, options);
+    let frontier = VertexSubset::full(csr.num_vertices());
+    let calls = AtomicU64::new(0);
+    let nap = || {
+        if calls.fetch_add(1, Ordering::Relaxed).is_multiple_of(256) {
+            thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let slow_gather = |_d: u32, _v: u32| {
+        nap();
+        false
+    };
+    engine
+        .edge_map(&frontier, |s, _d| s, slow_gather, |_| true, false)
+        .unwrap();
+    let slow_scatter = |s: u32, _d: u32| {
+        nap();
+        s
+    };
+    engine
+        .edge_map(
+            &frontier,
+            slow_scatter,
+            |_d, _v: u32| false,
+            |_| true,
+            false,
+        )
+        .unwrap();
+
+    let traces = engine.take_traces();
+    let (blocked, starved) = (&traces[0], &traces[1]);
+    assert!(blocked.bin_stall_ns > 0, "scatter never waited for a bin");
+    assert!(blocked.bin_stall_ns <= blocked.scatter_ns, "{blocked:?}");
+    assert!(starved.gather_idle_ns > 0, "gather never ran dry");
+    let stats = engine.stats();
+    assert_eq!(
+        stats.bin_stall_ns,
+        blocked.bin_stall_ns + starved.bin_stall_ns
+    );
+    assert_eq!(
+        stats.gather_idle_ns,
+        blocked.gather_idle_ns + starved.gather_idle_ns
+    );
+}
