@@ -10,7 +10,7 @@ use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
 use crate::mode::ExecMode;
-use crate::translate::to_original_order;
+use crate::translate::{check_transpose, to_original_order};
 
 /// Out-of-core single-source Brandes. `out_engine` runs over the graph,
 /// `in_engine` over its transpose. Returns the dependency scores
@@ -22,18 +22,9 @@ pub fn bc(
     root: VertexId,
     mode: ExecMode,
 ) -> Result<VertexArray<f64>> {
+    check_transpose(out_engine, in_engine)?;
     let n = out_engine.num_vertices();
-    assert_eq!(
-        n,
-        in_engine.num_vertices(),
-        "transpose must match the graph"
-    );
     let layout = out_engine.graph().layout();
-    assert_eq!(
-        layout,
-        in_engine.graph().layout(),
-        "graph and transpose must share one vertex layout"
-    );
     let root = layout.to_physical(root);
     let depth = VertexArray::<i64>::new(n, -1);
     let sigma = VertexArray::<f64>::new(n, 0.0);

@@ -12,7 +12,7 @@ use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
 use crate::mode::ExecMode;
-use crate::translate::to_original_order;
+use crate::translate::{check_transpose, to_original_order};
 
 /// Out-of-core k-core membership. `out_engine` runs over the graph,
 /// `in_engine` over its transpose. Returns `1` for vertices in the k-core
@@ -25,17 +25,8 @@ pub fn kcore(
     k: u32,
     mode: ExecMode,
 ) -> Result<VertexArray<u32>> {
+    check_transpose(out_engine, in_engine)?;
     let n = out_engine.num_vertices();
-    assert_eq!(
-        n,
-        in_engine.num_vertices(),
-        "transpose must match the graph"
-    );
-    assert_eq!(
-        out_engine.graph().layout(),
-        in_engine.graph().layout(),
-        "graph and transpose must share one vertex layout"
-    );
     let k = i64::from(k);
     let deg = VertexArray::<i64>::new(n, 0);
     let alive = VertexArray::<u32>::new(n, 1);

@@ -11,8 +11,45 @@
 //! zero cost.
 
 use blaze_core::vertex_array::VertexValue;
-use blaze_core::VertexArray;
+use blaze_core::{BlazeEngine, VertexArray};
 use blaze_graph::VertexPermutation;
+use blaze_types::{BlazeError, Result};
+
+/// Checks that `in_engine` runs over the transpose of `out_engine`'s
+/// graph as far as the two handles can tell: one vertex count and one
+/// vertex layout. The two-direction queries call it before they submit a
+/// job, so a transpose of another graph or of another `--layout` is a
+/// [`BlazeError::Format`] that names what differs (the counts, or the
+/// layout kinds; never the permutation), not a wrong answer.
+pub(crate) fn check_transpose(out_engine: &BlazeEngine, in_engine: &BlazeEngine) -> Result<()> {
+    let (n, tn) = (out_engine.num_vertices(), in_engine.num_vertices());
+    if n != tn {
+        return Err(BlazeError::Format(format!(
+            "transpose must match the graph: the graph has {n} vertices, the transpose {tn}"
+        )));
+    }
+    let (layout, tlayout) = (out_engine.graph().layout(), in_engine.graph().layout());
+    if layout != tlayout {
+        let kind = |l: &VertexPermutation| {
+            if l.is_identity() {
+                "none (the identity)"
+            } else {
+                "degree or hub (a permutation)"
+            }
+        };
+        return Err(BlazeError::Format(format!(
+            "graph and transpose must share one vertex layout: the graph was written with \
+             layout {}, the transpose with {}",
+            kind(layout),
+            if layout.is_identity() || tlayout.is_identity() {
+                kind(tlayout)
+            } else {
+                "another permutation"
+            }
+        )));
+    }
+    Ok(())
+}
 
 /// Re-indexes `phys` (indexed by physical id) into original-id order.
 ///

@@ -9,6 +9,7 @@ use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
 use crate::mode::ExecMode;
+use crate::translate::check_transpose;
 
 /// Out-of-core WCC. `out_engine` runs over the graph, `in_engine` over its
 /// transpose (the `.tgr` files of the artifact). Returns per-vertex labels:
@@ -19,17 +20,8 @@ pub fn wcc(
     in_engine: &BlazeEngine,
     mode: ExecMode,
 ) -> Result<VertexArray<u32>> {
+    check_transpose(out_engine, in_engine)?;
     let n = out_engine.num_vertices();
-    assert_eq!(
-        n,
-        in_engine.num_vertices(),
-        "transpose must match the graph"
-    );
-    assert_eq!(
-        out_engine.graph().layout(),
-        in_engine.graph().layout(),
-        "graph and transpose must share one vertex layout"
-    );
     let ids = Arc::new(VertexArray::<u32>::new(n, 0));
     let prev_ids = VertexArray::<u32>::new(n, 0);
     for v in 0..n {

@@ -26,9 +26,10 @@ use blaze_algorithms::{
 use blaze_core::{BlazeEngine, EngineOptions};
 use blaze_graph::disk::{save_files_with_layout, LayoutMeta};
 use blaze_graph::gen::{rmat, RmatConfig};
-use blaze_graph::{Csr, DiskGraph, GraphBuilder, VertexLayout};
+use blaze_graph::{Csr, Dataset, DatasetScale, DiskGraph, GraphBuilder, VertexLayout};
 use blaze_storage::StripedStorage;
 use blaze_sync::Arc;
+use blaze_types::EDGES_PER_PAGE;
 
 const N: u32 = 64;
 const LAYOUTS: [VertexLayout; 2] = [VertexLayout::Degree, VertexLayout::Hub];
@@ -293,6 +294,12 @@ fn rmat_queries_are_layout_invariant() {
             .unwrap()
             .to_vec();
         assert_close(&p, &pr_want, 1e-6, layout.name());
+        // PageRank's repeated scans over the cached, layouted graph drive
+        // the heat-informed admission path: hub pages are admitted on
+        // credit and hit again.
+        let stats = e.stats();
+        assert!(stats.cache_hot_admits > 0, "hot admissions are counted");
+        assert!(stats.cache_hot_hit_pages > 0, "hub pages see cache hits");
         let dir = tempfile::tempdir().unwrap();
         let (oe, ie) = engine_pair_with_layout(&g, layout, dir.path());
         let ids = wcc(&oe, &ie, ExecMode::Binned).unwrap().to_vec();
@@ -317,4 +324,45 @@ fn rmat_queries_are_layout_invariant() {
             layout.name()
         );
     }
+}
+
+/// The degree layout does not cost PageRank its cache: over twelve
+/// iterations behind a cache of half the page set, it reads at most 3 % more
+/// device bytes than the unordered graph and hits at most 0.03 less often.
+/// One device read one page at a time, one scatter and one gather worker:
+/// the page stream, the float-summation order and so both counters are
+/// functions of the input (0.3 % more bytes and 0.0008 less at this
+/// commit), where two devices feeding one cache made single runs differ by
+/// more than the bound.
+#[test]
+fn degree_layout_keeps_the_cache_hit_ratio_of_the_unordered_graph() {
+    let g = Dataset::Sk2005.generate(DatasetScale::Small);
+    let pages = (g.num_edges() as usize).div_ceil(EDGES_PER_PAGE);
+    let run = |layout| {
+        let storage = Arc::new(StripedStorage::in_memory(1).unwrap());
+        let graph = DiskGraph::create_with_layout(&g, storage, layout).unwrap();
+        let options = EngineOptions::default()
+            .with_compute_workers(2, 0.5)
+            .with_queue_depth(1)
+            .with_page_cache(pages / 2);
+        let e = BlazeEngine::new(Arc::new(graph), options).unwrap();
+        let config = PageRankConfig {
+            max_iters: 12,
+            ..Default::default()
+        };
+        pagerank_delta(&e, config, ExecMode::Binned).unwrap();
+        let stats = e.stats();
+        let reads = (stats.cache_hit_pages + stats.cache_miss_pages) as f64;
+        (stats.io_bytes, stats.cache_hit_pages as f64 / reads)
+    };
+    let (none_bytes, none_ratio) = run(VertexLayout::None);
+    let (degree_bytes, degree_ratio) = run(VertexLayout::Degree);
+    assert!(
+        degree_ratio > none_ratio - 0.03,
+        "degree hit ratio {degree_ratio:.4} against none {none_ratio:.4}"
+    );
+    assert!(
+        (degree_bytes as f64) < none_bytes as f64 * 1.03,
+        "degree read {degree_bytes} device bytes against none {none_bytes}"
+    );
 }

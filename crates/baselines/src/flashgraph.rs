@@ -5,6 +5,7 @@
 
 use blaze_sync::Arc;
 
+use blaze_core::stats::{fill_io_trace, snapshot_devices};
 use blaze_core::PageCache;
 use blaze_sync::Mutex;
 
@@ -13,7 +14,6 @@ use blaze_graph::DiskGraph;
 use blaze_types::{IterationTrace, Result, VertexId, PAGE_SIZE};
 
 use crate::common::OocEngine;
-use crate::stats_util::{fill_io_trace, snapshot_devices};
 
 /// FlashGraph configuration.
 #[derive(Debug, Clone)]

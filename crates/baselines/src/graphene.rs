@@ -13,6 +13,7 @@ use blaze_sync::Arc;
 
 use blaze_sync::Mutex;
 
+use blaze_core::stats::fill_io_trace;
 use blaze_frontier::VertexSubset;
 use blaze_graph::Csr;
 use blaze_storage::request::merge_pages_with_window;
@@ -20,7 +21,6 @@ use blaze_storage::{BlockDevice, MemDevice};
 use blaze_types::{BlazeError, IterationTrace, Result, VertexId, EDGES_PER_PAGE, PAGE_SIZE};
 
 use crate::common::OocEngine;
-use crate::stats_util::fill_io_trace;
 
 /// Graphene configuration.
 #[derive(Debug, Clone)]

@@ -28,7 +28,6 @@ pub mod common;
 pub mod flashgraph;
 pub mod graphene;
 pub mod queries;
-pub mod stats_util;
 
 pub use common::OocEngine;
 pub use flashgraph::{FlashGraphEngine, FlashGraphOptions};

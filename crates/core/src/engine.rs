@@ -44,6 +44,10 @@ const MAX_IDLE_ARENAS: usize = 2;
 /// non-zero hot region).
 const CACHE_HOT_FRACTION: f64 = 0.5;
 
+/// Completed flights the scan-sharing table retains per device for
+/// trailing subscribers (each at most `merge_window` pages).
+const SCAN_SHARE_RETAIN: usize = 128;
+
 /// Increments a counter when dropped — even if the owning worker panics in
 /// user code, so peers waiting on the counter cannot spin forever.
 struct CompletionGuard<'a> {
@@ -98,12 +102,8 @@ impl BlazeEngine {
         );
         // Scan sharing needs concurrent jobs' IO phases to overlap on each
         // device, so it widens the runtime to several IO lanes per device;
-        // without it one lane reproduces the paper's pipeline exactly.
-        let io_lanes = if options.scan_sharing {
-            options.scan_share_lanes.max(1)
-        } else {
-            1
-        };
+        // one lane reproduces the paper's pipeline exactly.
+        let io_lanes = options.io_lanes;
         let runtime = Runtime::new(
             graph.storage().num_devices(),
             io_lanes,
@@ -135,9 +135,8 @@ impl BlazeEngine {
                 .map(|lane| Arc::new(lane) as _)
                 .collect()
         };
-        let flights = options
-            .scan_sharing
-            .then(|| FlightTable::new(graph.storage().num_devices(), options.scan_share_retain));
+        let flights = (io_lanes > 1)
+            .then(|| FlightTable::new(graph.storage().num_devices(), SCAN_SHARE_RETAIN));
         Ok(Self {
             graph,
             options,
@@ -156,12 +155,6 @@ impl BlazeEngine {
     /// scan sharing runs several lanes).
     pub fn io_backend(&self) -> &Arc<dyn IoBackend> {
         &self.backends[0]
-    }
-
-    /// The scan-sharing flight table, when enabled via
-    /// [`EngineOptions::scan_sharing`].
-    pub fn flight_table(&self) -> Option<&FlightTable> {
-        self.flights.as_ref()
     }
 
     /// The clock page cache, when enabled via

@@ -40,25 +40,19 @@ pub struct EngineOptions {
     /// synchronous backend: strictly inline and in submission order,
     /// byte-for-byte the published engine's device traffic.
     pub queue_depth: usize,
-    /// Cross-job scan sharing (single-flight miss coalescing): the first
-    /// job to miss a page run leads the device read, overlapping
-    /// concurrent misses subscribe to its completed frames, and a bounded
-    /// per-device window of recently completed runs serves slightly
-    /// trailing scans. Off by default — the published engine re-reads per
-    /// job, and with sharing off the IO path is byte-for-byte identical
-    /// to it. FlashGraph's page-request merging shows this is the
-    /// decisive lever for concurrent SSD graph workloads.
-    pub scan_sharing: bool,
-    /// IO lanes (workers) per device when `scan_sharing` is on. One lane
-    /// serializes concurrent jobs' IO phases per device (nothing to
-    /// share); size it at least to the expected number of concurrent
-    /// jobs, at most [`MAX_JOBS`]. Ignored (forced to 1) when sharing is
-    /// off.
-    pub scan_share_lanes: usize,
-    /// Completed flights retained per device for trailing subscribers
-    /// (each at most `merge_window` pages). 0 coalesces only
-    /// instantaneously overlapping misses.
-    pub scan_share_retain: usize,
+    /// IO lanes (workers) a device, at most [`MAX_JOBS`]. 1 (the default)
+    /// is the published pipeline: each job re-reads for itself, no flight
+    /// table exists, and the IO path is byte-for-byte the published
+    /// engine's. N > 1 is cross-job scan sharing (single-flight miss
+    /// coalescing) over N lanes, so that N concurrent jobs' IO phases
+    /// overlap on each device: the first job to miss a page run leads the
+    /// device read, overlapping concurrent misses subscribe to its
+    /// completed frames, and a bounded per-device window of recently
+    /// completed runs serves slightly trailing scans. FlashGraph's
+    /// page-request merging shows this is the decisive lever for
+    /// concurrent SSD graph workloads. Size it to the expected number of
+    /// concurrent jobs (the CLI passes `-jobs`).
+    pub io_lanes: usize,
 }
 
 impl Default for EngineOptions {
@@ -71,9 +65,7 @@ impl Default for EngineOptions {
             binning: None,
             cache_bytes: 0,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            scan_sharing: false,
-            scan_share_lanes: 4,
-            scan_share_retain: 128,
+            io_lanes: 1,
         }
     }
 }
@@ -121,25 +113,12 @@ impl EngineOptions {
         self
     }
 
-    /// Enables (or disables) cross-job scan sharing: concurrent jobs'
-    /// overlapping page reads coalesce into single device reads through
-    /// the engine's flight table.
-    pub fn with_scan_sharing(mut self, sharing: bool) -> Self {
-        self.scan_sharing = sharing;
-        self
-    }
-
-    /// Overrides the IO lanes per device used when scan sharing is on
-    /// (clamped to ≥ 1).
-    pub fn with_scan_share_lanes(mut self, lanes: usize) -> Self {
-        self.scan_share_lanes = lanes.max(1);
-        self
-    }
-
-    /// Overrides the per-device retention window of completed flights
-    /// (0 disables retention).
-    pub fn with_scan_share_retain(mut self, retain: usize) -> Self {
-        self.scan_share_retain = retain;
+    /// Sets the IO lanes a device (clamped to ≥ 1): above 1, concurrent
+    /// jobs' overlapping page reads coalesce into single device reads
+    /// through the engine's flight table; 1 turns sharing off. See
+    /// [`io_lanes`](Self::io_lanes).
+    pub fn with_scan_sharing(mut self, lanes: usize) -> Self {
+        self.io_lanes = lanes.max(1);
         self
     }
 
@@ -167,13 +146,13 @@ impl EngineOptions {
         if self.queue_depth == 0 {
             return Err(BlazeError::Config("queue_depth must be >= 1".into()));
         }
-        if self.scan_share_lanes == 0 {
-            return Err(BlazeError::Config("scan_share_lanes must be >= 1".into()));
+        if self.io_lanes == 0 {
+            return Err(BlazeError::Config("io_lanes must be >= 1".into()));
         }
-        if self.scan_share_lanes > MAX_JOBS {
+        if self.io_lanes > MAX_JOBS {
             return Err(BlazeError::Config(format!(
                 "{} IO lanes a device asked for, at most {MAX_JOBS} are supported",
-                self.scan_share_lanes
+                self.io_lanes
             )));
         }
         Ok(())
@@ -238,25 +217,19 @@ mod tests {
     #[test]
     fn scan_sharing_defaults_clamp_and_validate() {
         let o = EngineOptions::default();
-        assert!(!o.scan_sharing, "sharing is opt-in");
-        assert_eq!(o.scan_share_lanes, 4);
-        assert_eq!(o.scan_share_retain, 128);
-        let o = EngineOptions::default()
-            .with_scan_sharing(true)
-            .with_scan_share_lanes(0)
-            .with_scan_share_retain(0);
-        assert!(o.scan_sharing);
-        assert_eq!(o.scan_share_lanes, 1, "builder clamps rather than erroring");
-        assert_eq!(o.scan_share_retain, 0, "zero retention is a valid mode");
+        assert_eq!(o.io_lanes, 1, "sharing is opt-in");
+        let o = EngineOptions::default().with_scan_sharing(0);
+        assert_eq!(o.io_lanes, 1, "builder clamps rather than erroring");
         assert!(o.validate().is_ok());
+        assert_eq!(EngineOptions::default().with_scan_sharing(4).io_lanes, 4);
         let o = EngineOptions {
-            scan_share_lanes: 0,
+            io_lanes: 0,
             ..Default::default()
         };
         assert!(o.validate().is_err(), "hand-built zero lanes accepted");
-        let at = EngineOptions::default().with_scan_share_lanes(MAX_JOBS);
+        let at = EngineOptions::default().with_scan_sharing(MAX_JOBS);
         assert!(at.validate().is_ok());
-        let over = EngineOptions::default().with_scan_share_lanes(MAX_JOBS + 1);
+        let over = EngineOptions::default().with_scan_sharing(MAX_JOBS + 1);
         let err = over.validate().unwrap_err().to_string();
         assert!(err.contains("IO lanes"), "{err}");
     }

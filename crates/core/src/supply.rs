@@ -687,7 +687,7 @@ mod tests {
         // must serve a repeat scan: every page of the second pass joins a
         // retained flight and zero device bytes move.
         let g = rmat(&RmatConfig::new(9));
-        let e = engine(&g, 2, EngineOptions::default().with_scan_sharing(true));
+        let e = engine(&g, 2, EngineOptions::default().with_scan_sharing(4));
         assert_eq!(edge_sum(&e), g.num_edges(), "first pass delivery");
         assert_eq!(edge_sum(&e), g.num_edges(), "shared-frame pass delivery");
         let traces = e.take_traces();
@@ -707,25 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_retention_scan_sharing_still_reads_everything() {
-        // retain = 0: only concurrently-pending flights coalesce, so two
-        // back-to-back scans both pay full device IO — and both deliver.
-        let g = rmat(&RmatConfig::new(8));
-        let e = engine(
-            &g,
-            1,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_retain(0),
-        );
-        assert_eq!(edge_sum(&e), g.num_edges());
-        assert_eq!(edge_sum(&e), g.num_edges());
-        let traces = e.take_traces();
-        assert_eq!(traces[0].total_io_bytes(), traces[1].total_io_bytes());
-        assert_eq!(traces[1].shared_hit_pages, 0);
-    }
-
-    #[test]
     fn concurrent_shared_scans_conserve_pages_and_deliver_every_edge() {
         // K identical concurrent full scans under sharing: each job's
         // device pages + shared pages must equal the solo page count (every
@@ -736,13 +717,7 @@ mod tests {
         let solo = engine(&g, 2, EngineOptions::default());
         assert_eq!(edge_sum(&solo), g.num_edges());
         let solo_pages = solo.take_traces()[0].total_io_bytes() / PAGE_SIZE as u64;
-        let e = engine(
-            &g,
-            2,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_lanes(4),
-        );
+        let e = engine(&g, 2, EngineOptions::default().with_scan_sharing(4));
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4).map(|_| s.spawn(|| edge_sum(&e))).collect();
             for h in handles {
@@ -762,6 +737,14 @@ mod tests {
         let stats = e.stats();
         assert!(stats.shared_hit_pages > 0, "concurrent scans must share");
         assert!(stats.flights_led > 0);
+        // N tenants cost about one job of device IO (the unshared engine
+        // above paid `solo_pages` for its one job, and pays it per job).
+        assert!(
+            stats.io_bytes <= 2 * solo_pages * PAGE_SIZE as u64,
+            "four sharing jobs read {} bytes, one job reads {}",
+            stats.io_bytes,
+            solo_pages * PAGE_SIZE as u64
+        );
     }
 
     #[test]
@@ -774,13 +757,7 @@ mod tests {
         let dev = Arc::new(FaultyDevice::fail_every(MemDevice::new(), 1));
         let storage = Arc::new(StripedStorage::new(vec![dev.clone()]).unwrap());
         let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
-        let e = BlazeEngine::new(
-            graph,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_lanes(4),
-        )
-        .unwrap();
+        let e = BlazeEngine::new(graph, EngineOptions::default().with_scan_sharing(4)).unwrap();
         let frontier = VertexSubset::full(g.num_vertices());
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -813,17 +790,11 @@ mod tests {
     #[test]
     fn shared_scans_match_unshared_byte_identical_traces() {
         // Sharing off vs a solo job with sharing on: identical request
-        // streams (one lane, no joins possible solo after reset) — the
-        // flight table must be IO-invisible to a lone job with retention 0.
+        // streams — the flight table must be IO-invisible to a lone first
+        // scan, which finds nothing pending and nothing retained to join.
         let g = rmat(&RmatConfig::new(9));
         let plain = engine(&g, 2, EngineOptions::default());
-        let shared = engine(
-            &g,
-            2,
-            EngineOptions::default()
-                .with_scan_sharing(true)
-                .with_scan_share_retain(0),
-        );
+        let shared = engine(&g, 2, EngineOptions::default().with_scan_sharing(4));
         assert_eq!(edge_sum(&plain), g.num_edges());
         assert_eq!(edge_sum(&shared), g.num_edges());
         let a = plain.take_traces();

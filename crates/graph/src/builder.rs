@@ -54,11 +54,6 @@ impl GraphBuilder {
         self.edges.extend(edges);
     }
 
-    /// Number of edges currently staged (before symmetrize/dedup).
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// [`try_build`](Self::try_build) for a vertex count the program chose
     /// itself (generators, tests): running out of memory for it is a panic.
     pub fn build(self) -> Csr {

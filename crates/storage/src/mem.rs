@@ -29,14 +29,6 @@ impl MemDevice {
             stats: IoStats::new(),
         }
     }
-
-    /// Creates a device holding a copy of `data`.
-    pub fn from_bytes(data: Vec<u8>) -> Self {
-        Self {
-            data: RwLock::new(data),
-            stats: IoStats::new(),
-        }
-    }
 }
 
 impl BlockDevice for MemDevice {

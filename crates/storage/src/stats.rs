@@ -196,11 +196,6 @@ impl JobIoStats {
         }
     }
 
-    /// Number of devices tracked.
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Folds `value` into `row`'s `counter`: added to it, or its new maximum,
     /// as the table says. Call it once per batch, request or role, never per
     /// edge or per record.
@@ -254,11 +249,6 @@ impl JobIoStats {
             .record_read(request.len_bytes() as u64, false);
     }
 
-    /// Adds modeled device busy time for `device`.
-    pub fn add_busy_ns(&self, device: usize, ns: u64) {
-        self.devices[device].stats.add_busy_ns(ns);
-    }
-
     /// Records the service time of one reaped completion on `device`.
     pub fn record_latency(&self, device: usize, service_ns: u64) {
         add(
@@ -292,18 +282,6 @@ pub struct IoStatsSnapshot {
     pub read_bytes: u64,
     pub sequential_reads: u64,
     pub busy_ns: u64,
-}
-
-impl IoStatsSnapshot {
-    /// Difference between two snapshots (`self` taken after `earlier`).
-    pub fn since(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_ops: self.read_ops - earlier.read_ops,
-            read_bytes: self.read_bytes - earlier.read_bytes,
-            sequential_reads: self.sequential_reads - earlier.sequential_reads,
-            busy_ns: self.busy_ns - earlier.busy_ns,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -345,20 +323,6 @@ mod tests {
         s.add_busy_ns(5);
         s.reset();
         assert_eq!(s.snapshot(), IoStatsSnapshot::default());
-    }
-
-    #[test]
-    fn snapshot_diff() {
-        let s = IoStats::new();
-        s.record_read(4096, false);
-        let a = s.snapshot();
-        s.record_read(4096, true);
-        s.record_read(4096, true);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.read_ops, 2);
-        assert_eq!(d.read_bytes, 8192);
-        assert_eq!(d.sequential_reads, 2);
     }
 
     #[test]

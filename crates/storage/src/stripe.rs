@@ -165,13 +165,6 @@ impl StripedStorage {
             .map(|d| d.stats().read_bytes())
             .collect()
     }
-
-    /// Resets statistics on every device.
-    pub fn reset_stats(&self) {
-        for d in &self.devices {
-            d.stats().reset();
-        }
-    }
 }
 
 impl std::fmt::Debug for StripedStorage {

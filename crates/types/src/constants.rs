@@ -55,10 +55,10 @@ pub const DEFAULT_IO_BUFFER_BYTES: usize = 4 << 20;
 pub const MAX_COMPUTE_WORKERS: usize = 1024;
 
 /// Most concurrent jobs one engine may be sized for: the CLI's `-jobs`, and
-/// the IO lanes a device that serve them (`scan_share_lanes`). Each job is
+/// the IO lanes a device that serve them (`EngineOptions::io_lanes`). Each job is
 /// a query thread, an IO thread a device and a bin and buffer arena of its
 /// own, so an unbounded count runs the process out of threads or memory
-/// before the first read; four times the widest sweep the benches run (16)
+/// before the first read; four times the widest sweep ever run here (16 tenants)
 /// starts and finishes on this machine.
 pub const MAX_JOBS: usize = 64;
 

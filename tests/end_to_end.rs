@@ -397,3 +397,37 @@ fn every_query_matches_its_reference_in_every_mode() {
         }
     }
 }
+
+/// A transpose of another graph is a `Format` error from every query that
+/// takes one, in both modes, before any job is submitted (it used to be a
+/// panic on an `assert_eq!`), and the out-engine serves the next query.
+#[test]
+fn mismatched_transpose_is_a_format_error_and_the_engine_lives_on() {
+    let csr = gen::rmat(&gen::RmatConfig::new(8));
+    let other = gen::rmat(&gen::RmatConfig::new(7)).transpose();
+    let out_engine = engine_over(&csr, 2);
+    let in_engine = engine_over(&other, 2);
+    for mode in [ExecMode::Binned, ExecMode::Sync] {
+        let errors = [
+            algo::wcc(&out_engine, &in_engine, mode).err(),
+            algo::kcore(&out_engine, &in_engine, 2, mode).err(),
+            algo::bc(&out_engine, &in_engine, 0, mode).err(),
+        ];
+        for err in errors {
+            let message = match err {
+                Some(blaze::types::BlazeError::Format(message)) => message,
+                other => panic!("{mode}: expected a format error, got {other:?}"),
+            };
+            assert!(
+                message.contains("256 vertices, the transpose 128"),
+                "{message}"
+            );
+        }
+        assert_eq!(out_engine.stats().iterations, 0, "no job was submitted");
+    }
+    let parent = algo::bfs(&out_engine, 0, ExecMode::Binned).unwrap();
+    let levels = reference::bfs_levels(&csr, 0);
+    for v in 0..csr.num_vertices() {
+        assert_eq!(parent.get(v) == -1, levels[v] == -1, "vertex {v}");
+    }
+}

@@ -131,7 +131,7 @@ fn check_every_route(csr: &Csr, query: &(impl Fn(&BlazeEngine) + Sync), ios: &[I
                 let what = format!("cache {cache_pages} sharing {sharing} {io:?}");
                 let options = EngineOptions::default()
                     .with_page_cache(cache_pages)
-                    .with_scan_sharing(sharing);
+                    .with_scan_sharing(if sharing { 4 } else { 1 });
                 let engine = engine_over(csr, options, io);
                 let jobs = if sharing { 2 } else { 1 };
                 thread::scope(|s| {

@@ -22,9 +22,7 @@ fn engine_over(csr: &Csr, devices: usize, options: EngineOptions) -> BlazeEngine
 }
 
 fn sharing() -> EngineOptions {
-    EngineOptions::default()
-        .with_scan_sharing(true)
-        .with_scan_share_lanes(4)
+    EngineOptions::default().with_scan_sharing(4)
 }
 
 /// Strategy: a random connected-ish edge list over `n` vertices, with at
