@@ -13,7 +13,11 @@ use blaze_types::{
 /// are good defaults, with careful tuning worth at most ~5%.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinningConfig {
-    /// Number of bins. Records route to `dst % bin_count`.
+    /// Number of bins. A space built for `n` vertices routes a record to
+    /// bin `(dst >> shift) % bin_count`, `shift = floor(log2(n /
+    /// bin_count))`, so each bin owns one or two contiguous vertex slices;
+    /// [`BinSpace::new`](crate::BinSpace::new), with no vertex count, routes
+    /// to `dst % bin_count`.
     pub bin_count: usize,
     /// Total bytes across all bin buffers (both halves of every pair).
     pub bin_space_bytes: usize,

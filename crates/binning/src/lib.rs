@@ -2,8 +2,12 @@
 //! scatter and gather threads.
 //!
 //! A *bin record* is a `(dst_vertex, value)` pair produced by an
-//! algorithm's scatter function. Records are routed to bin
-//! `dst % bin_count`. Each [`Bin`] owns a *pair* of fixed-capacity buffers:
+//! algorithm's scatter function. Records are routed by destination range:
+//! bin `(dst >> shift) % bin_count`, where a space built for `n` vertices
+//! takes `shift = floor(log2(n / bin_count))`, so each bin owns one or two
+//! contiguous slices of the vertex arrays (the paper routes `dst %
+//! bin_count`, which [`BinSpace::new`] keeps for a space with no vertex
+//! count). Each [`Bin`] owns a *pair* of fixed-capacity buffers:
 //! scatter threads append into the active buffer (batched through a small
 //! per-thread [`ScatterStaging`] to amortize the bin lock, as in
 //! propagation blocking); when it fills, the buffer is pushed onto the

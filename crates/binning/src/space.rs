@@ -1,5 +1,13 @@
 //! The bin space: all bins plus the MPMC full-buffer queues.
 //!
+//! A record for `dst` goes to bin `(dst >> shift) % bin_count`. A space
+//! built for a graph of `n` vertices takes `shift = floor(log2(n /
+//! bin_count))` (0 when `n <= bin_count`), so each bin owns one or two
+//! contiguous slices of `2^shift` vertices and every bin is used; gather
+//! then reduces one bin's records into a slice of the vertex arrays
+//! instead of striding all of them. A space with no vertex count
+//! ([`BinSpace::new`]) keeps shift 0, the paper's `dst % bin_count`.
+//!
 //! Full buffers are routed to one of `gather_queues` queues by
 //! `bin_id % gather_queues`, mirroring how the engine assigns gather
 //! workers. Each gather worker drains its own queue first and steals from
@@ -36,19 +44,26 @@ pub struct BinSpace<V> {
     /// Nanoseconds appends spent blocked because a bin's two buffers were
     /// both out with gather; touched only on that path.
     stall_ns: AtomicU64,
+    /// `dst >> shift` names the vertex slice a record belongs to.
+    shift: u32,
     config: BinningConfig,
     record_bytes: usize,
 }
 
 impl<V: BinValue> BinSpace<V> {
-    /// Allocates bins per `config` with a single full-buffer queue.
+    /// Allocates bins per `config` with a single full-buffer queue. With no
+    /// vertex count to slice, records route to `dst % bin_count`.
     pub fn new(config: BinningConfig) -> Self {
-        Self::with_gather_queues(config, 1)
+        Self::for_vertices(config, 0, 1)
     }
 
-    /// Allocates bins per `config` with one full-buffer queue per gather
-    /// worker (`gather_queues` is clamped to at least 1).
-    pub fn with_gather_queues(config: BinningConfig, gather_queues: usize) -> Self {
+    /// Allocates bins per `config` for a graph of `num_vertices` vertices,
+    /// routed by vertex slice (see the module docs), with one full-buffer
+    /// queue per gather worker (`gather_queues` is clamped to at least 1).
+    pub fn for_vertices(config: BinningConfig, num_vertices: usize, gather_queues: usize) -> Self {
+        let shift = (num_vertices / config.bin_count)
+            .checked_ilog2()
+            .unwrap_or(0);
         let record_bytes = BinRecord::<V>::size_bytes();
         let capacity = config.buffer_capacity(record_bytes);
         let bins = (0..config.bin_count).map(|_| Bin::new(capacity)).collect();
@@ -61,6 +76,7 @@ impl<V: BinValue> BinSpace<V> {
             full_queues,
             records_per_bin,
             stall_ns: AtomicU64::new(0),
+            shift,
             config,
             record_bytes,
         }
@@ -84,7 +100,7 @@ impl<V: BinValue> BinSpace<V> {
     /// The bin a destination vertex routes to.
     #[inline]
     pub fn bin_of(&self, dst: VertexId) -> usize {
-        dst as usize % self.bins.len()
+        (dst as usize >> self.shift) % self.bins.len()
     }
 
     /// Appends a batch of records that all route to `bin_id`; full buffers
@@ -229,6 +245,7 @@ mod tests {
         BinningConfig::new(bins, bins * 2 * records_per_buffer * 8, 4).unwrap()
     }
 
+    /// `BinSpace::new` has no vertex count: shift 0, `dst % bin_count`.
     #[test]
     fn records_route_by_modulo() {
         let space: BinSpace<u32> = BinSpace::new(config(4, 16));
@@ -237,6 +254,36 @@ mod tests {
         assert_eq!(space.bin_of(7), 3);
     }
 
+    #[test]
+    fn each_bin_owns_at_most_two_contiguous_slices() {
+        use blaze_types::MAX_BIN_COUNT;
+        for n in [1usize, 511, 512, 513, (1 << 20) + 1] {
+            for bins in [1usize, 3, 1024, MAX_BIN_COUNT] {
+                let space: BinSpace<u32> = BinSpace::for_vertices(config(bins, 1), n, 1);
+                // Runs of consecutive vertices sharing a bin, per bin.
+                let mut runs = vec![0usize; bins];
+                let mut prev = usize::MAX;
+                for dst in 0..n {
+                    let bin = space.bin_of(dst as VertexId);
+                    assert!(bin < bins, "n {n}, {bins} bins: vertex {dst} in bin {bin}");
+                    if bin != prev {
+                        runs[bin] += 1;
+                        prev = bin;
+                    }
+                }
+                let most = runs.iter().max().copied().unwrap_or(0);
+                assert!(most <= 2, "n {n}, {bins} bins: a bin holds {most} runs");
+                if n >= bins {
+                    assert!(
+                        runs.iter().all(|&r| r > 0),
+                        "n {n}, {bins} bins: a bin is unused"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs on `BinSpace::new`, whose routing is `dst % bin_count`.
     #[test]
     fn flush_then_gather_sees_every_record() {
         let space: BinSpace<u32> = BinSpace::new(config(4, 16));
@@ -301,7 +348,7 @@ mod tests {
         // 4 bins over 2 queues: bins {0, 2} home to queue 0, {1, 3} to
         // queue 1. With work in every queue, a worker drains its own
         // queue's bins before touching the other's.
-        let space: BinSpace<u32> = BinSpace::with_gather_queues(config(4, 16), 2);
+        let space: BinSpace<u32> = BinSpace::for_vertices(config(4, 16), 4, 2);
         assert_eq!(space.gather_queue_count(), 2);
         for dst in 0..4u32 {
             space.append_batch(space.bin_of(dst), &[BinRecord::new(dst, dst)]);
@@ -324,7 +371,7 @@ mod tests {
 
     #[test]
     fn idle_workers_steal_from_other_queues() {
-        let space: BinSpace<u32> = BinSpace::with_gather_queues(config(4, 16), 2);
+        let space: BinSpace<u32> = BinSpace::for_vertices(config(4, 16), 4, 2);
         // Only bin 0 has work — it homes to queue 0.
         space.append_batch(0, &[BinRecord::new(0, 7)]);
         space.flush_partials();

@@ -103,6 +103,7 @@ mod tests {
         assert_eq!(got, 10);
     }
 
+    /// Runs on `BinSpace::new`, whose routing is `dst % bin_count`.
     #[test]
     fn values_survive_the_staging_path() {
         let space = space(3, 2);

@@ -22,7 +22,7 @@ fn cfg(preemption_bound: usize) -> Config {
 /// so every bin sits in its affinity queue (`bin_id % 2`).
 fn space_with_bins(bins: usize) -> Arc<BinSpace<u32>> {
     let config = BinningConfig::new(bins, 1 << 16, 4).unwrap();
-    let space = Arc::new(BinSpace::<u32>::with_gather_queues(config, 2));
+    let space = Arc::new(BinSpace::<u32>::for_vertices(config, bins, 2));
     for b in 0..bins {
         space.append_batch(b, &[BinRecord::new(b as u32, b as u32)]);
     }
@@ -73,7 +73,7 @@ fn racing_workers_process_each_bin_exactly_once() {
 fn idle_worker_steals_from_the_other_queue() {
     let report = check_with(cfg(2), || {
         let config = BinningConfig::new(2, 1 << 16, 4).unwrap();
-        let space = Arc::new(BinSpace::<u32>::with_gather_queues(config, 2));
+        let space = Arc::new(BinSpace::<u32>::for_vertices(config, 8, 2));
         space.append_batch(1, &[BinRecord::new(7, 7)]);
         space.flush_partials();
         let processed = Arc::new(Mutex::new(0usize));

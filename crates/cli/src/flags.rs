@@ -161,7 +161,7 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "-binCount",
         value: Some("N"),
-        help: "number of bins (default 1024)",
+        help: "number of bins, each owning one or two contiguous vertex ranges (default 1024)",
         readers: Command::is_query,
         set: |a, f, v| put(&mut a.bin_count, int(f, v, 0, u64::MAX)),
     },

@@ -36,6 +36,8 @@ use blaze_storage::BufferPool;
 /// The engine's cache of idle per-job arenas.
 pub struct EngineArena {
     binning: BinningConfig,
+    /// The graph's vertex count: fresh bin spaces route by vertex slice.
+    num_vertices: usize,
     io_buffer_bytes: usize,
     pages_per_buffer: usize,
     /// Gather-affinity queue count for fresh bin spaces (the engine's
@@ -51,6 +53,7 @@ impl EngineArena {
     /// these parameters.
     pub fn new(
         binning: BinningConfig,
+        num_vertices: usize,
         io_buffer_bytes: usize,
         pages_per_buffer: usize,
         gather_queues: usize,
@@ -58,6 +61,7 @@ impl EngineArena {
     ) -> Self {
         Self {
             binning,
+            num_vertices,
             io_buffer_bytes,
             pages_per_buffer,
             gather_queues: gather_queues.max(1),
@@ -108,7 +112,7 @@ impl EngineArena {
                 }
             }
         }
-        BinSpace::with_gather_queues(self.binning.clone(), self.gather_queues)
+        BinSpace::for_vertices(self.binning.clone(), self.num_vertices, self.gather_queues)
     }
 
     /// Returns a bin space after a *successful* job, reset to pristine and
@@ -143,7 +147,7 @@ mod tests {
 
     fn arena(max_idle: usize) -> EngineArena {
         let binning = BinningConfig::new(4, 1 << 16, 4).unwrap();
-        EngineArena::new(binning, 1 << 20, 4, 2, max_idle)
+        EngineArena::new(binning, 1 << 10, 1 << 20, 4, 2, max_idle)
     }
 
     #[test]

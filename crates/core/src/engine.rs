@@ -95,6 +95,7 @@ impl BlazeEngine {
             .unwrap_or_else(|| BinningConfig::for_graph(graph.storage_bytes()));
         let arena = EngineArena::new(
             binning.clone(),
+            graph.num_vertices(),
             options.io_buffer_bytes,
             options.merge_window.max(blaze_types::MAX_MERGED_PAGES),
             options.num_gather,

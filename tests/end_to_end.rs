@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use blaze::algorithms::{self as algo, reference, ExecMode, PageRankConfig};
+use blaze::binning::BinningConfig;
 use blaze::engine::{BlazeEngine, EngineOptions};
 use blaze::graph::disk::{save_files, save_files_with_layout, LayoutMeta};
 use blaze::graph::{gen, Csr, Dataset, DatasetScale, DiskGraph, VertexLayout};
@@ -243,11 +244,14 @@ fn levels_from_parents(parent: &[i64], root: u32) -> Vec<i64> {
 }
 
 /// The graph and its transpose as one file set under one vertex layout, and
-/// the IO window cap to open them with.
+/// the IO window cap and bin count to open them with.
 struct Setup {
     fwd: (PathBuf, Vec<PathBuf>),
     rev: (PathBuf, Vec<PathBuf>),
     queue_depth: usize,
+    /// `None` is the paper's 1,024 bins, which over fewer vertices route
+    /// one vertex a slice (`dst % 1024`); fewer bins own wider slices.
+    bin_count: Option<usize>,
 }
 
 impl Setup {
@@ -266,6 +270,7 @@ impl Setup {
             fwd: save(&physical, "g.gr").unwrap(),
             rev: save(&physical.transpose(), "g.tgr").unwrap(),
             queue_depth: EngineOptions::default().queue_depth,
+            bin_count: None,
         }
     }
 
@@ -273,7 +278,10 @@ impl Setup {
     /// stats.
     fn open(&self, (index, adj): &(PathBuf, Vec<PathBuf>)) -> BlazeEngine {
         let graph = Arc::new(DiskGraph::open_files(index, adj).unwrap());
-        let options = EngineOptions::default().with_queue_depth(self.queue_depth);
+        let mut options = EngineOptions::default().with_queue_depth(self.queue_depth);
+        if let Some(bins) = self.bin_count {
+            options = options.with_binning(BinningConfig::new(bins, 64 << 10, 64).unwrap());
+        }
         BlazeEngine::new(graph, options).unwrap()
     }
 
@@ -289,7 +297,9 @@ impl Setup {
 /// Tier-1 runs only this package, so this is where every query meets both
 /// modes once, and, in binned mode, every physical layout under both IO
 /// backends (`queue_depth` 1 is the inline `SyncBackend`, 16 the adaptive
-/// one): a cell that breaks in a crate-level suite breaks here too.
+/// one), and bins that own vertex slices wider than one (3 bins over 512
+/// vertices: slices of 128, bin 0 holding two; 16 bins: slices of 32): a
+/// cell that breaks in a crate-level suite breaks here too.
 #[test]
 fn every_query_matches_its_reference_in_every_mode() {
     use blaze::types::Result;
@@ -379,15 +389,18 @@ fn every_query_matches_its_reference_in_every_mode() {
     for layout in [VertexLayout::None, VertexLayout::Degree, VertexLayout::Hub] {
         let dir = tempfile::tempdir().unwrap();
         let mut setup = Setup::write(&csr, layout, dir.path());
-        let mut cells = vec![(1, Binned), (16, Binned)];
+        let default_depth = setup.queue_depth;
+        let mut cells = vec![(1, Binned, None), (16, Binned, None)];
         if layout == VertexLayout::None {
-            cells.push((setup.queue_depth, Sync));
+            cells.push((default_depth, Sync, None));
+            cells.extend([3, 16].map(|bins| (default_depth, Binned, Some(bins))));
         }
-        for (queue_depth, mode) in cells {
+        for (queue_depth, mode, bin_count) in cells {
             setup.queue_depth = queue_depth;
+            setup.bin_count = bin_count;
             for row in &rows {
                 let what = format!(
-                    "{} -mode {mode}, layout {}, queue depth {queue_depth}",
+                    "{} -mode {mode}, layout {}, queue depth {queue_depth}, bins {bin_count:?}",
                     row.query,
                     layout.name()
                 );
