@@ -6,7 +6,7 @@
 //! couple of warm-up iterations, then reports the best-of-N time.
 
 use blaze_bench::report::{print_table, write_csv};
-use blaze_binning::{BinRecord, BinSpace, BinningConfig, ScatterStaging};
+use blaze_binning::{no_gather, BinRecord, BinSpace, BinningConfig, ScatterStaging};
 use blaze_core::{BlazeEngine, EngineOptions, VertexArray};
 use blaze_frontier::{AtomicBitmap, VertexSubset};
 use blaze_graph::gen::{rmat, RmatConfig};
@@ -55,7 +55,7 @@ fn bench_propagation(rows: &mut Vec<Vec<String>>) {
             // Ablation: skip the per-thread staging buffer (one lock per
             // record).
             for &d in &dsts {
-                space.append_batch(space.bin_of(d), &[BinRecord::new(d, d)]);
+                space.append_batch(space.bin_of(d), &[BinRecord::new(d, d)], no_gather());
             }
         }
         space.flush_partials();

@@ -2,7 +2,7 @@
 //! protocol that keeps scatter and gather threads concurrently productive
 //! (Section IV-A, third optimization).
 
-use blaze_sync::{Condvar, Mutex};
+use blaze_sync::Mutex;
 
 use crate::record::{BinRecord, BinValue};
 
@@ -22,15 +22,15 @@ struct BinInner<V> {
 /// for one short memcpy per ~64 records — this is the "per-CPU buffer"
 /// amortization of propagation blocking. When the active buffer reaches
 /// capacity it is handed to `on_full` (the engine pushes it to the MPMC
-/// `full_bins` queue) and the spare takes over; if the spare is still out
-/// with a gather thread, the appending scatter thread blocks until
-/// [`return_buffer`](Bin::return_buffer) brings it back — the back-pressure
-/// the paper describes.
+/// `full_bins` queue) and the spare takes over. If the spare is still out
+/// with gather, the bin takes no more: [`append_batch`](Bin::append_batch)
+/// hands the rest back, and the caller decides how to wait
+/// ([`BinSpace::append_batch`](crate::BinSpace::append_batch) applies full
+/// buffers itself) — the back-pressure the paper describes, without a
+/// sleep inside the bin.
 #[derive(Debug)]
 pub struct Bin<V> {
     inner: Mutex<BinInner<V>>,
-    /// Signalled when a buffer returns from gather.
-    spare_returned: Condvar,
     /// Held by the gather thread processing this bin's records, ensuring no
     /// two gather threads touch the same destination vertices concurrently.
     gather_lock: Mutex<()>,
@@ -46,7 +46,6 @@ impl<V: BinValue> Bin<V> {
                 active: Vec::with_capacity(capacity),
                 spare: Some(Vec::with_capacity(capacity)),
             }),
-            spare_returned: Condvar::new(),
             gather_lock: Mutex::new(()),
             capacity,
         }
@@ -57,45 +56,36 @@ impl<V: BinValue> Bin<V> {
         self.capacity
     }
 
-    /// Appends a batch of records, invoking `on_full(buffer)` each time the
-    /// active buffer fills. Blocks if both buffers are full/out, and returns
-    /// the nanoseconds it was blocked for (0 on the usual path, which takes
-    /// no timestamp).
-    pub fn append_batch(
+    /// Appends what fits of `batch`, invoking `on_full(buffer)` each time
+    /// the active buffer fills. Returns the records that did not fit
+    /// because both buffers are out (the active one full, the spare with
+    /// gather); empty when the whole batch went in. Never waits.
+    pub fn append_batch<'b>(
         &self,
-        batch: &[BinRecord<V>],
+        batch: &'b [BinRecord<V>],
         mut on_full: impl FnMut(Vec<BinRecord<V>>),
-    ) -> u64 {
+    ) -> &'b [BinRecord<V>] {
         let mut inner = self.inner.lock();
         let mut remaining = batch;
-        let mut stalled_ns = 0;
         loop {
             let space = self.capacity - inner.active.len();
             let take = space.min(remaining.len());
             inner.active.extend_from_slice(&remaining[..take]);
             remaining = &remaining[take..];
+            if inner.active.len() < self.capacity {
+                return remaining;
+            }
             // Hand a filled buffer to gather eagerly (the paper pushes to
             // full_bins the moment one of the pair fills).
-            if inner.active.len() == self.capacity {
-                match inner.spare.take() {
-                    Some(spare) => {
-                        let full = std::mem::replace(&mut inner.active, spare);
-                        on_full(full);
-                    }
-                    None if remaining.is_empty() => break,
-                    None => {
-                        // Both buffers busy: wait for gather to return one.
-                        let blocked = std::time::Instant::now();
-                        self.spare_returned.wait(&mut inner);
-                        stalled_ns += blocked.elapsed().as_nanos() as u64;
-                    }
-                }
-            }
+            let Some(spare) = inner.spare.take() else {
+                return remaining;
+            };
+            let full = std::mem::replace(&mut inner.active, spare);
+            on_full(full);
             if remaining.is_empty() {
-                break;
+                return remaining;
             }
         }
-        stalled_ns
     }
 
     /// Pushes the active buffer out even if only partially filled — the
@@ -118,7 +108,6 @@ impl<V: BinValue> Bin<V> {
         let mut inner = self.inner.lock();
         if inner.spare.is_none() {
             inner.spare = Some(buffer);
-            self.spare_returned.notify_all();
         }
         // A third buffer can exist transiently after a drain_partial that
         // had to allocate; it is simply dropped here.
@@ -200,43 +189,25 @@ mod tests {
     }
 
     #[test]
-    fn scatter_blocks_until_gather_returns_buffer() {
-        use blaze_sync::atomic::{AtomicBool, Ordering};
-        use blaze_sync::Arc;
-        let bin = Arc::new(Bin::new(2));
-        let queue = Arc::new(blaze_sync::queue::SegQueue::<Vec<BinRecord<u32>>>::new());
-        let made_progress = Arc::new(AtomicBool::new(false));
+    fn a_full_pair_hands_the_rest_back_until_a_buffer_returns() {
+        let bin = Bin::new(2);
+        let mut fulls = Vec::new();
+        // Fill both buffers: the first two records go out as a full
+        // buffer, the next two fill the spare that took over.
+        let batch: Vec<_> = (0..5).map(rec).collect();
+        let rest = bin.append_batch(&batch, |b| fulls.push(b));
+        assert_eq!(rest, &batch[4..], "the fifth record has no room");
+        assert_eq!((fulls.len(), bin.pending_records()), (1, 2));
+        // Still no room, and nothing was handed out twice.
+        assert_eq!(bin.append_batch(rest, |_| unreachable!()).len(), 1);
 
-        // Fill both buffers: first append emits one full buffer, second
-        // fills the replacement.
-        let q = queue.clone();
-        bin.append_batch(&(0..4).map(rec).collect::<Vec<_>>(), |b| q.push(b));
-        assert_eq!(queue.len(), 1);
-        assert_eq!(bin.pending_records(), 2);
-
-        // A further append must block until the gather side returns a buffer.
-        let scatter_bin = bin.clone();
-        let scatter_q = queue.clone();
-        let progress = made_progress.clone();
-        let scatter = std::thread::spawn(move || {
-            scatter_bin.append_batch(&[rec(9)], |b| scatter_q.push(b));
-            progress.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(
-            !made_progress.load(Ordering::SeqCst),
-            "scatter should be blocked"
-        );
-
-        // Gather: process the queued full buffer and return it.
-        let full = queue.pop().unwrap();
-        {
-            let _guard = bin.lock_for_gather();
-            assert_eq!(full.len(), 2);
-        }
-        bin.return_buffer(full);
-        scatter.join().unwrap();
-        assert!(made_progress.load(Ordering::SeqCst));
+        // Gather returns the buffer: the full active one goes out and the
+        // record the bin refused goes in.
+        bin.return_buffer(fulls.pop().unwrap());
+        assert!(bin.append_batch(rest, |b| fulls.push(b)).is_empty());
+        assert_eq!(fulls.len(), 1);
+        assert_eq!(fulls[0].iter().map(|r| r.dst).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(bin.pending_records(), 1);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! is the whole trick: all records for a destination vertex live in one
 //! bin, so gather can update vertex data with plain stores, no
 //! compare-and-swap, while the MPMC queue balances bins across gather
-//! threads dynamically.
+//! threads dynamically. When both buffers of a bin are out, the paper's
+//! scatter thread blocks; here a scatter thread that passes its gather
+//! function applies queued full buffers itself until the bin has room
+//! ([`BinSpace::append_batch`]), under the same per-bin gather lock.
 
 pub mod bin;
 pub mod config;
@@ -28,5 +31,5 @@ pub mod staging;
 pub use bin::Bin;
 pub use config::BinningConfig;
 pub use record::{BinRecord, BinValue};
-pub use space::BinSpace;
+pub use space::{no_gather, BinSpace};
 pub use staging::ScatterStaging;

@@ -13,10 +13,21 @@
 //! workers. Each gather worker drains its own queue first and steals from
 //! the others only when it is empty, so a bin's buffers (and its gather
 //! lock) tend to stay on one thread instead of bouncing between them.
+//!
+//! An append to a bin whose two buffers are both out *stalls*. A scatter
+//! thread that passes its gather function ([`BinSpace::append_batch`])
+//! spends the stall applying queued full buffers itself, its stalled bin's
+//! home queue first, so it waits only while the buffer it needs is being
+//! applied by someone else; without one it backs off until a gather thread
+//! returns a buffer. Whoever applies a buffer holds that bin's gather lock,
+//! so a destination is still updated by one thread at a time.
 
-use blaze_sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
+use blaze_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use blaze_sync::panic::{catch_unwind, resume_unwind};
 use blaze_sync::queue::SegQueue;
+use blaze_sync::Backoff;
 
 use blaze_types::{CachePadded, VertexId};
 
@@ -33,6 +44,15 @@ pub struct FullBin<V> {
     pub records: Vec<BinRecord<V>>,
 }
 
+/// The type of the gather function [`no_gather`] names but never holds.
+type NoGather<V> = fn(usize, &[BinRecord<V>]);
+
+/// The `gather` argument of an append that applies no full bins when it
+/// stalls: it backs off until a gather thread returns a buffer.
+pub fn no_gather<'a, V>() -> Option<&'a mut NoGather<V>> {
+    None
+}
+
 /// The complete online-binning state for one `EdgeMap` execution.
 pub struct BinSpace<V> {
     bins: Vec<Bin<V>>,
@@ -41,9 +61,15 @@ pub struct BinSpace<V> {
     full_queues: Vec<SegQueue<FullBin<V>>>,
     /// Per-bin record counters for work-trace instrumentation.
     records_per_bin: Vec<CachePadded<AtomicU64>>,
-    /// Nanoseconds appends spent blocked because a bin's two buffers were
+    /// Nanoseconds appends spent stalled because a bin's two buffers were
     /// both out with gather; touched only on that path.
     stall_ns: AtomicU64,
+    /// The part of `stall_ns` spent applying full buffers.
+    stall_gather_ns: AtomicU64,
+    /// Set when a gather function panicked with a buffer in hand: that
+    /// buffer never returns to its bin, so a stall on the bin would never
+    /// end. Stalled appends drop their rest instead; the job is failing.
+    poisoned: AtomicBool,
     /// `dst >> shift` names the vertex slice a record belongs to.
     shift: u32,
     config: BinningConfig,
@@ -76,6 +102,8 @@ impl<V: BinValue> BinSpace<V> {
             full_queues,
             records_per_bin,
             stall_ns: AtomicU64::new(0),
+            stall_gather_ns: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
             shift,
             config,
             record_bytes,
@@ -104,14 +132,75 @@ impl<V: BinValue> BinSpace<V> {
     }
 
     /// Appends a batch of records that all route to `bin_id`; full buffers
-    /// move to the `full_bins` queue.
-    pub fn append_batch(&self, bin_id: usize, batch: &[BinRecord<V>]) {
+    /// move to the bin's full-buffer queue. When both of the bin's buffers
+    /// are out the append stalls until the bin takes the rest: with a
+    /// `gather` function it applies queued full buffers itself, exactly as
+    /// [`process_one_full_for`](Self::process_one_full_for) would for a
+    /// gather worker, and backs off only while none is queued; with
+    /// [`no_gather`] it only backs off.
+    #[inline]
+    pub fn append_batch<F>(&self, bin_id: usize, batch: &[BinRecord<V>], gather: Option<&mut F>)
+    where
+        F: FnMut(usize, &[BinRecord<V>]),
+    {
         self.records_per_bin[bin_id].fetch_add(batch.len() as u64, Ordering::Relaxed); // sync-audit: per-bin work counter; read post-join or for heuristics.
-        let stalled_ns = self.bins[bin_id].append_batch(batch, |records| {
+        let rest = self.append_what_fits(bin_id, batch);
+        if !rest.is_empty() {
+            self.stall(bin_id, rest, gather);
+        }
+    }
+
+    fn append_what_fits<'b>(&self, bin_id: usize, batch: &'b [BinRecord<V>]) -> &'b [BinRecord<V>] {
+        self.bins[bin_id].append_batch(batch, |records| {
             self.push_full(FullBin { bin_id, records });
-        });
-        if stalled_ns > 0 {
-            self.stall_ns.fetch_add(stalled_ns, Ordering::Relaxed); // sync-audit: work counter like `records_per_bin`; read post-join.
+        })
+    }
+
+    /// The stalled path of [`append_batch`](Self::append_batch), timed as
+    /// a whole (`stall_ns`) and in the part spent applying buffers
+    /// (`stall_gather_ns`).
+    #[cold]
+    #[inline(never)]
+    fn stall<F>(&self, bin_id: usize, mut rest: &[BinRecord<V>], mut gather: Option<&mut F>)
+    where
+        F: FnMut(usize, &[BinRecord<V>]),
+    {
+        let stalled = Instant::now();
+        let mut applying_ns = 0u64;
+        let backoff = Backoff::new();
+        while !rest.is_empty() {
+            // sync-audit: Acquire pairs with the Release in
+            // `process_one_full_for`; the flag publishes nothing else.
+            if self.poisoned.load(Ordering::Acquire) {
+                break;
+            }
+            let applied = match gather.as_deref_mut() {
+                Some(f) => {
+                    let t = Instant::now();
+                    // `bin_id` as the worker: its home queue is the one
+                    // this bin's own full buffer waits in.
+                    let applied = self.process_one_full_for(bin_id, f);
+                    if applied {
+                        applying_ns += t.elapsed().as_nanos() as u64;
+                    }
+                    applied
+                }
+                None => false,
+            };
+            if applied {
+                backoff.reset();
+            } else {
+                // Nothing queued: the buffer this bin waits for is being
+                // applied right now.
+                backoff.snooze();
+            }
+            rest = self.append_what_fits(bin_id, rest);
+        }
+        let stalled_ns = stalled.elapsed().as_nanos() as u64;
+        self.stall_ns.fetch_add(stalled_ns, Ordering::Relaxed); // sync-audit: work counter like `records_per_bin`; read post-join.
+        if applying_ns > 0 {
+            self.stall_gather_ns
+                .fetch_add(applying_ns, Ordering::Relaxed); // sync-audit: work counter like `records_per_bin`; read post-join.
         }
     }
 
@@ -132,6 +221,12 @@ impl<V: BinValue> BinSpace<V> {
     /// for gather worker `worker`: pops from the worker's own queue
     /// (`worker % gather_queue_count`) first and steals from the other
     /// queues only when it is empty.
+    ///
+    /// If `f` panics, the buffer it held is lost and the space is marked
+    /// poisoned before the panic continues, so that no append stalls
+    /// forever on the bin that buffer belonged to. The panic is caught and
+    /// re-raised, not seen from a drop guard, because the facade's
+    /// `catch_unwind` lets the model checker's own unwinds pass untouched.
     pub fn process_one_full_for<F>(&self, worker: usize, mut f: F) -> bool
     where
         F: FnMut(usize, &[BinRecord<V>]),
@@ -145,7 +240,12 @@ impl<V: BinValue> BinSpace<V> {
         let bin = &self.bins[full.bin_id];
         {
             let _exclusive = bin.lock_for_gather();
-            f(full.bin_id, &full.records);
+            if let Err(panic) = catch_unwind(|| f(full.bin_id, &full.records)) {
+                // sync-audit: Release pairs with the stall loop's Acquire
+                // load; the flag publishes nothing else.
+                self.poisoned.store(true, Ordering::Release);
+                resume_unwind(panic);
+            }
         }
         bin.return_buffer(full.records);
         true
@@ -186,10 +286,16 @@ impl<V: BinValue> BinSpace<V> {
             .collect()
     }
 
-    /// Returns and resets the time appends spent blocked on a bin with both
+    /// Returns and resets the time appends spent stalled on a bin with both
     /// buffers out, summed over the scatter threads of one `EdgeMap`.
     pub fn take_stall_ns(&self) -> u64 {
         self.stall_ns.swap(0, Ordering::Relaxed) // sync-audit: reset between iterations; scatter threads are quiescent.
+    }
+
+    /// Returns and resets the part of [`take_stall_ns`](Self::take_stall_ns)
+    /// that stalled appends spent applying full buffers.
+    pub fn take_stall_gather_ns(&self) -> u64 {
+        self.stall_gather_ns.swap(0, Ordering::Relaxed) // sync-audit: reset between iterations; scatter threads are quiescent.
     }
 
     /// Restores the space to its freshly-constructed state so it can be
@@ -211,6 +317,8 @@ impl<V: BinValue> BinSpace<V> {
             counter.store(0, Ordering::Relaxed);
         }
         self.take_stall_ns();
+        self.take_stall_gather_ns();
+        self.poisoned.store(false, Ordering::Relaxed); // sync-audit: reset between jobs; the space is quiescent here.
     }
 
     /// The configuration this space was built with.
@@ -289,7 +397,7 @@ mod tests {
         let space: BinSpace<u32> = BinSpace::new(config(4, 16));
         for dst in 0..40u32 {
             let bin = space.bin_of(dst);
-            space.append_batch(bin, &[BinRecord::new(dst, dst * 2)]);
+            space.append_batch(bin, &[BinRecord::new(dst, dst * 2)], no_gather());
         }
         space.flush_partials();
         let mut seen = Vec::new();
@@ -307,8 +415,12 @@ mod tests {
     #[test]
     fn take_record_counts_resets() {
         let space: BinSpace<u32> = BinSpace::new(config(2, 8));
-        space.append_batch(0, &[BinRecord::new(0, 1), BinRecord::new(2, 1)]);
-        space.append_batch(1, &[BinRecord::new(1, 1)]);
+        space.append_batch(
+            0,
+            &[BinRecord::new(0, 1), BinRecord::new(2, 1)],
+            no_gather(),
+        );
+        space.append_batch(1, &[BinRecord::new(1, 1)], no_gather());
         let counts = space.take_record_counts();
         assert_eq!(counts, vec![2, 1]);
         assert_eq!(space.total_records(), 0);
@@ -320,7 +432,7 @@ mod tests {
         // Dirty it: fill buffers, leave partials and full-queue entries.
         for dst in 0..30u32 {
             let bin = space.bin_of(dst);
-            space.append_batch(bin, &[BinRecord::new(dst, dst)]);
+            space.append_batch(bin, &[BinRecord::new(dst, dst)], no_gather());
         }
         space.flush_partials();
         assert!(!space.full_queue_is_empty());
@@ -332,7 +444,7 @@ mod tests {
         // thread returning buffers, more would block on back-pressure.
         for dst in 0..32u32 {
             let bin = space.bin_of(dst);
-            space.append_batch(bin, &[BinRecord::new(dst, dst * 2)]);
+            space.append_batch(bin, &[BinRecord::new(dst, dst * 2)], no_gather());
         }
         space.flush_partials();
         let mut seen = Vec::new();
@@ -351,7 +463,7 @@ mod tests {
         let space: BinSpace<u32> = BinSpace::for_vertices(config(4, 16), 4, 2);
         assert_eq!(space.gather_queue_count(), 2);
         for dst in 0..4u32 {
-            space.append_batch(space.bin_of(dst), &[BinRecord::new(dst, dst)]);
+            space.append_batch(space.bin_of(dst), &[BinRecord::new(dst, dst)], no_gather());
         }
         space.flush_partials();
         let mut worker0_bins = Vec::new();
@@ -373,7 +485,7 @@ mod tests {
     fn idle_workers_steal_from_other_queues() {
         let space: BinSpace<u32> = BinSpace::for_vertices(config(4, 16), 4, 2);
         // Only bin 0 has work — it homes to queue 0.
-        space.append_batch(0, &[BinRecord::new(0, 7)]);
+        space.append_batch(0, &[BinRecord::new(0, 7)], no_gather());
         space.flush_partials();
         let mut got = Vec::new();
         assert!(space.process_one_full_for(1, |bin, records| {
@@ -382,6 +494,54 @@ mod tests {
         assert_eq!(got, vec![(0, 7)], "worker 1 steals queue 0's buffer");
         assert!(!space.process_one_full_for(1, |_, _| {}));
         assert!(space.full_queue_is_empty());
+    }
+
+    /// One thread and no gather worker: every stalled append finishes only
+    /// by applying queued buffers itself, its own bin's among them.
+    #[test]
+    fn a_stalled_append_applies_full_bins_itself() {
+        let space: BinSpace<u32> = BinSpace::for_vertices(config(4, 2), 16, 2);
+        let mut seen = vec![0u32; 16];
+        let mut gather = |bin: usize, records: &[BinRecord<u32>]| {
+            for r in records {
+                assert_eq!(bin, space.bin_of(r.dst));
+                seen[r.dst as usize] += 1;
+            }
+        };
+        for round in 0..10 {
+            for dst in 0..16u32 {
+                let batch = [BinRecord::new(dst, round)];
+                space.append_batch(space.bin_of(dst), &batch, Some(&mut gather));
+            }
+        }
+        space.flush_partials();
+        while space.process_one_full(&mut gather) {}
+        assert_eq!(seen, vec![10; 16], "every record applied exactly once");
+        let stalled = space.take_stall_ns();
+        let applying = space.take_stall_gather_ns();
+        assert!(
+            0 < applying && applying <= stalled,
+            "{applying} of {stalled}"
+        );
+    }
+
+    /// A gather function that panics loses the buffer it held; the space is
+    /// poisoned, so an append stalled on that bin drops its rest instead
+    /// of waiting for a buffer that will never return.
+    #[test]
+    fn a_panicking_gather_poisons_the_space() {
+        // One bin of two one-record buffers.
+        let space: BinSpace<u32> = BinSpace::new(BinningConfig::new(1, 16, 1).unwrap());
+        let recs: Vec<_> = (0..2).map(|d| BinRecord::new(d, d)).collect();
+        space.append_batch(0, &recs, no_gather()); // one full, one pending
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            space.process_one_full(|_, _| panic!("gather exploded"));
+        }));
+        assert!(caught.is_err(), "the panic continues to the caller");
+        // Both buffers are out for good; without the mark this would spin.
+        space.append_batch(0, &recs, no_gather());
+        space.reset();
+        assert!(!space.poisoned.load(Ordering::Relaxed)); // sync-audit: single-threaded test.
     }
 
     #[test]
@@ -404,7 +564,7 @@ mod tests {
                 s.spawn(move || {
                     for i in (t..N).step_by(4) {
                         let bin = space.bin_of(i);
-                        space.append_batch(bin, &[BinRecord::new(i, i)]);
+                        space.append_batch(bin, &[BinRecord::new(i, i)], no_gather());
                     }
                     finished.fetch_add(1, Ordering::Release); // sync-audit: per-bin work counter; read post-join or for heuristics.
                 });

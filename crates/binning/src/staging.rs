@@ -9,7 +9,7 @@
 use blaze_types::VertexId;
 
 use crate::record::{BinRecord, BinValue};
-use crate::space::BinSpace;
+use crate::space::{no_gather, BinSpace};
 
 /// Thread-local staging for one scatter thread.
 #[derive(Debug)]
@@ -30,14 +30,31 @@ impl<V: BinValue> ScatterStaging<V> {
     }
 
     /// Stages one record; flushes its bin's staging buffer to `space` when
-    /// the batch is full.
+    /// the batch is full. A flush that finds the bin's two buffers out
+    /// waits for a gather thread to return one.
     #[inline]
     pub fn push(&mut self, space: &BinSpace<V>, dst: VertexId, value: V) {
+        self.push_with(space, dst, value, no_gather());
+    }
+
+    /// [`push`](Self::push) for a scatter thread that applies full bins
+    /// with `gather` while a flush is stalled
+    /// ([`BinSpace::append_batch`]).
+    #[inline]
+    pub fn push_with<F>(
+        &mut self,
+        space: &BinSpace<V>,
+        dst: VertexId,
+        value: V,
+        gather: Option<&mut F>,
+    ) where
+        F: FnMut(usize, &[BinRecord<V>]),
+    {
         let bin = space.bin_of(dst);
         let buf = &mut self.buffers[bin];
         buf.push(BinRecord::new(dst, value));
         if buf.len() == self.capacity {
-            space.append_batch(bin, buf);
+            space.append_batch(bin, buf, gather);
             buf.clear();
         }
     }
@@ -45,9 +62,18 @@ impl<V: BinValue> ScatterStaging<V> {
     /// Flushes every non-empty staging buffer. Must be called before a
     /// scatter thread reports completion, or records would be lost.
     pub fn flush(&mut self, space: &BinSpace<V>) {
+        self.flush_with(space, no_gather());
+    }
+
+    /// [`flush`](Self::flush) for a scatter thread that applies full bins
+    /// with `gather` while a flush is stalled.
+    pub fn flush_with<F>(&mut self, space: &BinSpace<V>, mut gather: Option<&mut F>)
+    where
+        F: FnMut(usize, &[BinRecord<V>]),
+    {
         for (bin, buf) in self.buffers.iter_mut().enumerate() {
             if !buf.is_empty() {
-                space.append_batch(bin, buf);
+                space.append_batch(bin, buf, gather.as_deref_mut());
                 buf.clear();
             }
         }

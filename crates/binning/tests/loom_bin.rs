@@ -1,13 +1,14 @@
-//! Model-checked tests of the bin pair-buffer swap protocol: a scatter
-//! thread appending past capacity races a gather thread returning buffers,
-//! exercising the back-pressure wait (`spare_returned`) and the gather
-//! exclusivity lock under every schedule the bounded explorer can reach.
+//! Model-checked tests of the bin pair-buffer swap protocol: an appender
+//! that finds both buffers of a bin out applies queued full buffers itself
+//! (the help path of `BinSpace::append_batch`), alone or racing a gather
+//! thread, and the gather exclusivity lock holds under every schedule the
+//! bounded explorer can reach.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p blaze-binning --test loom_bin --release`
 #![cfg(loom)]
 
-use blaze_binning::{Bin, BinRecord};
+use blaze_binning::{Bin, BinRecord, BinSpace, BinningConfig};
 use blaze_sync::model::{check_with, Config};
 use blaze_sync::{thread, Arc, Condvar, Mutex};
 use std::cell::UnsafeCell;
@@ -23,53 +24,66 @@ fn rec(v: u32) -> BinRecord<u32> {
     BinRecord::new(v, v)
 }
 
-/// One scatter thread pushes three records through a capacity-1 bin while a
-/// gather thread consumes and returns the buffers. Forcing three records
-/// through a two-buffer pair means some schedules park the scatter thread on
-/// `spare_returned`; the model proves no schedule loses a record, dies in a
-/// missed wakeup, or deadlocks.
+/// One bin of two one-record buffers.
+fn capacity_one_space() -> Arc<BinSpace<u32>> {
+    Arc::new(BinSpace::new(BinningConfig::new(1, 16, 1).unwrap()))
+}
+
+/// Appends records 0, 1 and 2 one at a time, applying full buffers into
+/// `applied` whenever an append stalls.
+fn append_three(space: &BinSpace<u32>, applied: &Mutex<Vec<u32>>) {
+    let mut gather = |_: usize, records: &[BinRecord<u32>]| {
+        applied.lock().extend(records.iter().map(|r| r.value));
+    };
+    for v in 0..3 {
+        space.append_batch(0, &[rec(v)], Some(&mut gather));
+    }
+}
+
+/// Flushes what is still in the bin, applies every queued buffer, and
+/// checks that each record was applied exactly once.
+fn drain_and_check(space: &BinSpace<u32>, applied: &Mutex<Vec<u32>>) {
+    space.flush_partials();
+    while space.process_one_full(|_, records| {
+        applied.lock().extend(records.iter().map(|r| r.value));
+    }) {}
+    let mut got = applied.lock().clone();
+    got.sort_unstable();
+    assert_eq!(got, vec![0, 1, 2], "records lost or duplicated");
+    assert!(space.full_queue_is_empty());
+}
+
+/// Three records through a capacity-1 bin, whose pair holds two. First with
+/// no other thread: the third append finds both buffers out and can finish
+/// only by applying a queued buffer itself. Then with a gather thread
+/// racing the appender for the queued buffers, so the appender sometimes
+/// finds nothing queued (gather holds the buffer it waits for) and backs
+/// off. In every schedule each record is applied exactly once and nothing
+/// deadlocks.
 #[test]
 fn swap_protocol_conserves_records_under_backpressure() {
     let report = check_with(cfg(2), || {
-        let bin = Arc::new(Bin::<u32>::new(1));
-        // Test-local channel standing in for the engine's full_bins queue:
-        // `on_full` pushes here and the gather thread blocks on the condvar,
-        // so the model never spins.
-        let chan = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
+        let space = capacity_one_space();
+        let applied = Mutex::new(Vec::new());
+        append_three(&space, &applied);
+        assert!(!applied.lock().is_empty(), "the appender applied nothing");
+        drain_and_check(&space, &applied);
 
-        let scatter = {
-            let (bin, chan) = (bin.clone(), chan.clone());
+        let space = capacity_one_space();
+        let applied = Arc::new(Mutex::new(Vec::new()));
+        let gather = {
+            let (space, applied) = (space.clone(), applied.clone());
             thread::spawn(move || {
-                bin.append_batch(&[rec(0), rec(1), rec(2)], |full| {
-                    chan.0.lock().push(full);
-                    chan.1.notify_all();
-                });
+                for _ in 0..2 {
+                    space.process_one_full(|_, records| {
+                        applied.lock().extend(records.iter().map(|r| r.value));
+                    });
+                }
             })
         };
-
-        // Capacity 1 and a 3-record batch guarantee exactly two full
-        // hand-offs (the third record stays in the active buffer).
-        let mut gathered = Vec::new();
-        for _ in 0..2 {
-            let full = {
-                let mut q = chan.0.lock();
-                loop {
-                    if let Some(full) = q.pop() {
-                        break full;
-                    }
-                    chan.1.wait(&mut q);
-                }
-            };
-            gathered.extend(full.iter().map(|r| r.value));
-            bin.return_buffer(full);
-        }
-        scatter.join().unwrap();
-
-        let partial = bin.drain_partial().expect("third record pending");
-        gathered.extend(partial.iter().map(|r| r.value));
-        gathered.sort_unstable();
-        assert_eq!(gathered, vec![0, 1, 2], "records lost or duplicated");
-        assert_eq!(bin.pending_records(), 0);
+        append_three(&space, &applied);
+        gather.join().unwrap();
+        drain_and_check(&space, &applied);
     });
     assert!(report.executions > 1, "explored only one schedule");
 }

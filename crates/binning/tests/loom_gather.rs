@@ -7,7 +7,7 @@
 //! `RUSTFLAGS="--cfg loom" cargo test -p blaze-binning --test loom_gather --release`
 #![cfg(loom)]
 
-use blaze_binning::{BinRecord, BinSpace, BinningConfig};
+use blaze_binning::{no_gather, BinRecord, BinSpace, BinningConfig};
 use blaze_sync::model::{check_with, Config};
 use blaze_sync::{thread, Arc, Mutex};
 
@@ -24,7 +24,7 @@ fn space_with_bins(bins: usize) -> Arc<BinSpace<u32>> {
     let config = BinningConfig::new(bins, 1 << 16, 4).unwrap();
     let space = Arc::new(BinSpace::<u32>::for_vertices(config, bins, 2));
     for b in 0..bins {
-        space.append_batch(b, &[BinRecord::new(b as u32, b as u32)]);
+        space.append_batch(b, &[BinRecord::new(b as u32, b as u32)], no_gather());
     }
     space.flush_partials();
     space
@@ -74,7 +74,7 @@ fn idle_worker_steals_from_the_other_queue() {
     let report = check_with(cfg(2), || {
         let config = BinningConfig::new(2, 1 << 16, 4).unwrap();
         let space = Arc::new(BinSpace::<u32>::for_vertices(config, 8, 2));
-        space.append_batch(1, &[BinRecord::new(7, 7)]);
+        space.append_batch(1, &[BinRecord::new(7, 7)], no_gather());
         space.flush_partials();
         let processed = Arc::new(Mutex::new(0usize));
         let workers: Vec<_> = (0..2)

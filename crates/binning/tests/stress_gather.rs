@@ -9,7 +9,7 @@
 //! in `loom_bin.rs` (`gather_lock_makes_canary_updates_atomic`).
 #![cfg(not(loom))]
 
-use blaze_binning::{BinRecord, BinSpace, BinningConfig};
+use blaze_binning::{no_gather, BinRecord, BinSpace, BinningConfig};
 use blaze_sync::atomic::{AtomicU64, Ordering};
 use blaze_sync::thread;
 use std::cell::UnsafeCell;
@@ -55,12 +55,12 @@ fn gather_exclusivity_stress() {
                     // detects duplicated as well as lost records.
                     batch.push(BinRecord::new(0, (t as u32) << 24 | (i as u32 & 0xff_ffff)));
                     if batch.len() == BATCH {
-                        space.append_batch(0, &batch);
+                        space.append_batch(0, &batch, no_gather());
                         batch.clear();
                     }
                 }
                 if !batch.is_empty() {
-                    space.append_batch(0, &batch);
+                    space.append_batch(0, &batch, no_gather());
                 }
             }));
         }

@@ -167,11 +167,12 @@ pub fn print_run_summary(query: &str, engine: &BlazeEngine, wall: std::time::Dur
         // exceed wall time when several workers overlap.
         println!(
             "compute: scatter {:.3} s, gather {:.3} s, io wait {:.3} s, \
-             bin stall {:.3} s, gather idle {:.3} s",
+             bin stall {:.3} s ({:.3} s applying bins), gather idle {:.3} s",
             stats.scatter_ns as f64 / 1e9,
             stats.gather_ns as f64 / 1e9,
             stats.io_wait_ns as f64 / 1e9,
             stats.bin_stall_ns as f64 / 1e9,
+            stats.stall_gather_ns as f64 / 1e9,
             stats.gather_idle_ns as f64 / 1e9
         );
     }

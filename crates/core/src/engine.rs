@@ -17,7 +17,7 @@ use std::time::Instant;
 use blaze_sync::Backoff;
 use blaze_sync::Mutex;
 
-use blaze_binning::{BinSpace, BinValue, BinningConfig, ScatterStaging};
+use blaze_binning::{BinRecord, BinSpace, BinValue, BinningConfig, ScatterStaging};
 use blaze_frontier::{PageSubset, VertexSubset};
 use blaze_graph::DiskGraph;
 use blaze_storage::{
@@ -249,7 +249,9 @@ impl BlazeEngine {
     ///
     /// `gather` may update [`VertexArray`](crate::VertexArray)s with plain
     /// `get`/`set` — bin exclusivity guarantees a destination vertex is
-    /// only touched by one gather thread at a time.
+    /// only touched by one thread at a time. That thread is usually a
+    /// gather worker, but a scatter worker stalled on a bin with both
+    /// buffers out applies queued full bins too, under the same lock.
     ///
     /// The call is a *job submission*: it may be issued from any number of
     /// threads concurrently against one engine, and blocks until the
@@ -358,6 +360,8 @@ impl BlazeEngine {
                 .record(row, JobCounter::RecordsProduced, records);
             job.io_stats
                 .record(row, JobCounter::BinStallNs, space.take_stall_ns());
+            job.io_stats
+                .record(row, JobCounter::StallGatherNs, space.take_stall_gather_ns());
         }
         fill_io_trace_from_job(&mut trace, &job.io_stats);
         drop(job);
@@ -443,6 +447,26 @@ where
     io_stats: JobIoStats,
 }
 
+impl<V, FS, FG, FC> EdgeMapJob<'_, V, FS, FG, FC>
+where
+    V: BinValue,
+    FS: Fn(VertexId, VertexId) -> V + Sync,
+    FG: Fn(VertexId, V) -> bool + Sync,
+    FC: Fn(VertexId) -> bool + Sync,
+{
+    /// Applies one full bin's records with the user's gather, inserting
+    /// the destinations it activates into the output frontier. The caller
+    /// holds the bin's gather lock: a gather worker, or a scatter worker
+    /// whose append stalled on a bin with both buffers out.
+    fn apply(&self, records: &[BinRecord<V>]) {
+        for r in records {
+            if (self.gather)(r.dst, r.value) && self.output {
+                self.out.insert(r.dst);
+            }
+        }
+    }
+}
+
 impl<V, FS, FG, FC> PipelineJob for EdgeMapJob<'_, V, FS, FG, FC>
 where
     V: BinValue,
@@ -512,6 +536,8 @@ where
             all_done: &self.all_scatter_done,
         };
         let mut staging = self.space.map(ScatterStaging::new);
+        // A stalled append applies full bins with this rather than wait.
+        let mut apply = |_bin: usize, records: &[BinRecord<V>]| self.apply(records);
         let mut scratch = Vec::new();
         let mut local_edges = 0u64;
         let mut local_records = 0u64;
@@ -558,7 +584,9 @@ where
                         }
                         let value = (self.scatter)(src, dst);
                         match (&mut staging, self.space) {
-                            (Some(staging), Some(space)) => staging.push(space, dst, value),
+                            (Some(staging), Some(space)) => {
+                                staging.push_with(space, dst, value, Some(&mut apply))
+                            }
                             _ => {
                                 // Sync variant: apply directly with the
                                 // user's atomic gather — the CAS path.
@@ -577,7 +605,7 @@ where
         }
         if let (Some(staging), Some(space)) = (&mut staging, self.space) {
             let t = Instant::now();
-            staging.flush(space);
+            staging.flush_with(space, Some(&mut apply));
             busy_ns += t.elapsed().as_nanos() as u64;
         }
         let row = StatsRow::Compute;
@@ -602,13 +630,7 @@ where
         let backoff = Backoff::new();
         loop {
             let t = Instant::now();
-            let progressed = space.process_one_full_for(worker, |_, records| {
-                for r in records {
-                    if (self.gather)(r.dst, r.value) && self.output {
-                        self.out.insert(r.dst);
-                    }
-                }
-            });
+            let progressed = space.process_one_full_for(worker, |_, records| self.apply(records));
             if progressed {
                 busy_ns += t.elapsed().as_nanos() as u64;
                 backoff.reset();

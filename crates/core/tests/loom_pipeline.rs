@@ -8,7 +8,7 @@
 //! `RUSTFLAGS="--cfg loom" cargo test -p blaze-core --test loom_pipeline --release`
 #![cfg(loom)]
 
-use blaze_binning::{BinRecord, BinSpace, BinningConfig};
+use blaze_binning::{no_gather, BinRecord, BinSpace, BinningConfig};
 use blaze_sync::{thread, Arc, Condvar, Mutex};
 
 use blaze_sync::model::{check_with, Config};
@@ -44,7 +44,7 @@ fn scatter_gather_handoff_conserves_records() {
             let (space, done) = (space.clone(), done.clone());
             thread::spawn(move || {
                 for r in 0..4u32 {
-                    space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)]);
+                    space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)], no_gather());
                 }
                 *done.0.lock() = true;
                 done.1.notify_all();
@@ -89,7 +89,7 @@ fn racing_scatter_threads_conserve_records() {
             let (space, done) = (space.clone(), done.clone());
             thread::spawn(move || {
                 for r in records {
-                    space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)]);
+                    space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)], no_gather());
                 }
                 *done.0.lock() += 1;
                 done.1.notify_all();
@@ -132,7 +132,7 @@ fn scoped_scatter_workers_like_engine() {
                 let space = &space;
                 s.spawn(move || {
                     for r in [base, base + 1] {
-                        space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)]);
+                        space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)], no_gather());
                     }
                 });
             }
@@ -156,7 +156,7 @@ fn record_counters_match_gathered_totals() {
             .map(|r| {
                 let space = space.clone();
                 thread::spawn(move || {
-                    space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)]);
+                    space.append_batch(space.bin_of(r), &[BinRecord::new(r, r)], no_gather());
                 })
             })
             .collect();

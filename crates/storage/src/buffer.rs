@@ -7,9 +7,10 @@
 //! to the *filled* MPMC queue as [`PageBatch`]es; scatter threads pop
 //! batches and hand them back when done, which returns the buffer to the
 //! free queue. Because scatter keeps pace with IO, a small pool suffices —
-//! if it ever drains, IO threads back off, which is exactly the "fast
-//! producer, slow consumer" stall the paper describes for Graphene
-//! (Section III-C).
+//! if it ever drains, IO threads back off and then park until scatter
+//! hands a buffer back, which is exactly the "fast producer, slow
+//! consumer" stall the paper describes for Graphene (Section III-C),
+//! without a core spent asking the scheduler whether it is over.
 //!
 //! Pages that are already resident (page-cache hits, frames fanned out by
 //! another job's read) travel the same filled queue as batches of shared
@@ -17,8 +18,9 @@
 //! batches as the pool has buffers, so frames queued for a slow scatter
 //! are bounded by the pool's byte budget just like buffers are.
 
+use blaze_sync::atomic::{fence, AtomicUsize, Ordering};
 use blaze_sync::queue::ArrayQueue;
-use blaze_sync::Backoff;
+use blaze_sync::{Backoff, Condvar, Mutex};
 
 use blaze_types::{PageId, MAX_MERGED_PAGES, PAGE_SIZE};
 
@@ -163,6 +165,12 @@ pub struct BufferPool {
     /// construction, and frame batches (at most `pages_per_buffer` frames
     /// each, by the producers' contract) wait for room.
     filled: ArrayQueue<PageBatch>,
+    /// IO threads parked in [`acquire_free`](Self::acquire_free). Only
+    /// when it is non-zero does [`release`](Self::release) take `park`
+    /// and signal `unparked`, so the common path makes no syscall.
+    parked: AtomicUsize,
+    park: Mutex<()>,
+    unparked: Condvar,
     capacity: usize,
     pages_per_buffer: usize,
 }
@@ -189,6 +197,9 @@ impl BufferPool {
         Self {
             free,
             filled: ArrayQueue::new(capacity),
+            parked: AtomicUsize::new(0),
+            park: Mutex::new(()),
+            unparked: Condvar::new(),
             capacity,
             pages_per_buffer,
         }
@@ -220,23 +231,48 @@ impl BufferPool {
         self.free.pop()
     }
 
-    /// Takes a free buffer, backing off (spin → yield) until one is
-    /// available. IO threads block here when scatter falls behind.
+    /// Takes a free buffer, backing off (spin → yield) and then parking
+    /// until one is available. IO threads wait here when scatter falls
+    /// behind.
     pub fn acquire_free(&self) -> IoBuffer {
         let backoff = Backoff::new();
-        loop {
+        while !backoff.is_completed() {
             if let Some(buf) = self.free.pop() {
                 return buf;
             }
             backoff.snooze();
         }
+        let mut guard = self.park.lock();
+        // sync-audit: announce, fence, then look again; `release` pushes,
+        // fences, then reads the count. The two SeqCst fences order the
+        // pairs, so either this look finds the buffer or `release` sees
+        // the count and signals under `park`, which is held from here to
+        // the wait.
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let buffer = loop {
+            if let Some(buf) = self.free.pop() {
+                break buf;
+            }
+            self.unparked.wait(&mut guard);
+        };
+        self.parked.fetch_sub(1, Ordering::Relaxed); // sync-audit: a stale non-zero costs `release` one needless signal.
+        buffer
     }
 
-    /// Returns a buffer that never became a batch (a failed read, a drain
-    /// after an error) to the free queue.
+    /// Returns a buffer to the free queue — one that scatter is done with,
+    /// or one that never became a batch (a failed read, a drain after an
+    /// error) — and wakes the IO threads parked for one, if any.
     pub fn release(&self, buffer: IoBuffer) {
         // The pool created every buffer, so the queue can never overflow.
         let _ = self.free.push(buffer);
+        // sync-audit: the fence pairs with the one in `acquire_free` (see
+        // there): a parked pump is either counted here or finds the buffer.
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            let _guard = self.park.lock();
+            self.unparked.notify_all();
+        }
     }
 
     /// Publishes a batch for scatter threads (step 4), backing off while

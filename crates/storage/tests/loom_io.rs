@@ -15,15 +15,18 @@
 //!   than leaking;
 //! * requests read inline and a request handed to a helper are in flight
 //!   together across both mode switches: each completes exactly once, and
-//!   dropping the backend joins the lazily started, parked helpers.
+//!   dropping the backend joins the lazily started, parked helpers;
+//! * a pump parked in `BufferPool::acquire_free` is always woken by a
+//!   concurrent `release` (no lost wakeup), also when two pumps wait for
+//!   the two buffers and one may take the buffer the other was woken for.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p blaze-storage --test loom_io --release`
 #![cfg(loom)]
 
 use blaze_storage::{
-    BlockDevice, FaultyDevice, IoBackend, IoBuffer, IoRequest, MemDevice, StripedStorage,
-    ThreadedBackend,
+    BlockDevice, BufferPool, FaultyDevice, IoBackend, IoBuffer, IoRequest, MemDevice,
+    StripedStorage, ThreadedBackend,
 };
 use blaze_sync::model::{check_with, Config};
 use blaze_sync::{thread, Arc};
@@ -177,4 +180,41 @@ fn inline_and_handed_off_requests_cross_the_mode_switch() {
         drop(backend);
     });
     assert!(report.executions > 1, "expected multiple interleavings");
+}
+
+/// Scatter hands the pool's only buffers back while pumps wait for them.
+/// Under the model a pump parks at once (its backoff counts as spent), so
+/// every schedule of "announce and look again" against "push and read the
+/// count" is explored: a release that misses the parked count must leave a
+/// buffer the pump's second look finds, or the model reports a deadlock.
+#[test]
+fn a_parked_pump_is_woken_by_a_concurrent_release() {
+    for pumps in [1usize, 2] {
+        let report = check_with(cfg(2), move || {
+            let pool = Arc::new(BufferPool::new(pumps));
+            let held: Vec<_> = (0..pumps)
+                .map(|_| pool.try_acquire_free().expect("a fresh pool is full"))
+                .collect();
+            let waiting: Vec<_> = (0..pumps)
+                .map(|_| {
+                    let pool = pool.clone();
+                    thread::spawn(move || pool.acquire_free())
+                })
+                .collect();
+            for buffer in held {
+                pool.release(buffer);
+            }
+            let got: Vec<IoBuffer> = waiting.into_iter().map(|w| w.join().unwrap()).collect();
+            assert_eq!(got.len(), pumps);
+            assert!(
+                pool.try_acquire_free().is_none(),
+                "a buffer was handed out twice"
+            );
+            for buffer in got {
+                pool.release(buffer);
+            }
+            assert!(pool.is_intact());
+        });
+        assert!(report.executions > 1, "expected multiple interleavings");
+    }
 }

@@ -96,7 +96,7 @@ macro_rules! job_counter_table {
             Max IoMaxInFlight io_max_in_flight,
             /// Nanoseconds scatter workers spent decoding pages and
             /// staging records, summed across workers (so it can exceed
-            /// wall time). Time blocked on a bin is part of it.
+            /// wall time). Time stalled on a bin is part of it.
             Sum ScatterNs scatter_ns,
             /// Nanoseconds gather workers spent applying full bins, summed
             /// across workers (zero for the sync variant, which gathers
@@ -105,10 +105,15 @@ macro_rules! job_counter_table {
             /// Nanoseconds scatter workers spent idle waiting for filled
             /// buffers: the compute-side view of an IO-bound iteration.
             Sum IoWaitNs io_wait_ns,
-            /// Nanoseconds scatter workers spent blocked on a bin whose two
+            /// Nanoseconds scatter workers spent stalled on a bin whose two
             /// buffers were both out with gather: scatter outrunning
             /// gather. A part of `scatter_ns`, not beside it.
             Sum BinStallNs bin_stall_ns,
+            /// The part of `bin_stall_ns` scatter workers spent applying
+            /// full bins themselves (a stalled append applies queued
+            /// buffers with the job's gather rather than wait). Counted in
+            /// `scatter_ns`, never in `gather_ns`.
+            Sum StallGatherNs stall_gather_ns,
             /// Nanoseconds gather workers spent with no full bin to
             /// process while scatter was still running: gather outrunning
             /// scatter.

@@ -124,24 +124,28 @@ fn mixed_mode_submissions_interleave() {
     });
 }
 
-/// The two stall counters name the slow side. Over the small-bin
-/// configuration above, a gather that sleeps leaves scatter blocked on a bin
-/// whose two buffers are both out (`bin_stall_ns`, a part of `scatter_ns`);
-/// the same scan with the sleep in scatter leaves gather with nothing to
-/// process (`gather_idle_ns`). Each bin receives about eight buffers of
-/// records and a sleeping gather needs 4 ms a buffer, so scatter cannot
-/// avoid running two buffers ahead.
+/// The stall counters name the slow side. Over the small-bin
+/// configuration above, a gather that sleeps leaves scatter stalled on a
+/// bin whose two buffers are both out (`bin_stall_ns`, a part of
+/// `scatter_ns`), and a stalled scatter spends part of that applying the
+/// queued full bins itself (`stall_gather_ns`); the same scan with the
+/// sleep in scatter leaves gather with nothing to process
+/// (`gather_idle_ns`). Each bin receives about eight buffers of records and
+/// a sleeping gather needs 4 ms a buffer, so scatter cannot avoid running
+/// two buffers ahead. Whoever applies a record, it is applied exactly once.
 #[test]
 fn stall_counters_name_the_slow_side() {
+    use blaze::engine::VertexArray;
     use blaze::frontier::VertexSubset;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     let csr = gen::rmat(&gen::RmatConfig::new(11));
+    let n = csr.num_vertices();
     let options =
         EngineOptions::default().with_binning(BinningConfig::new(4, 64 << 10, 8).unwrap());
     let engine = engine_over(&csr, 2, options);
-    let frontier = VertexSubset::full(csr.num_vertices());
+    let frontier = VertexSubset::full(n);
     let calls = AtomicU64::new(0);
     let nap = || {
         if calls.fetch_add(1, Ordering::Relaxed).is_multiple_of(256) {
@@ -149,13 +153,23 @@ fn stall_counters_name_the_slow_side() {
         }
     };
 
-    let slow_gather = |_d: u32, _v: u32| {
+    // Plain get/set: bin exclusivity holds for scatter as for gather.
+    let hits = VertexArray::<u64>::new(n, 0);
+    let slow_gather = |d: u32, _v: u32| {
         nap();
+        hits.set(d as usize, hits.get(d as usize) + 1);
         false
     };
     engine
         .edge_map(&frontier, |s, _d| s, slow_gather, |_| true, false)
         .unwrap();
+    let mut in_degree = vec![0u64; n];
+    for v in 0..n as u32 {
+        for &d in csr.neighbors(v) {
+            in_degree[d as usize] += 1;
+        }
+    }
+    assert_eq!(hits.to_vec(), in_degree, "a record applied twice or never");
     let slow_scatter = |s: u32, _d: u32| {
         nap();
         s
@@ -172,13 +186,21 @@ fn stall_counters_name_the_slow_side() {
 
     let traces = engine.take_traces();
     let (blocked, starved) = (&traces[0], &traces[1]);
-    assert!(blocked.bin_stall_ns > 0, "scatter never waited for a bin");
+    assert!(blocked.stall_gather_ns > 0, "scatter never applied a bin");
+    assert!(
+        blocked.stall_gather_ns <= blocked.bin_stall_ns,
+        "{blocked:?}"
+    );
     assert!(blocked.bin_stall_ns <= blocked.scatter_ns, "{blocked:?}");
     assert!(starved.gather_idle_ns > 0, "gather never ran dry");
     let stats = engine.stats();
     assert_eq!(
         stats.bin_stall_ns,
         blocked.bin_stall_ns + starved.bin_stall_ns
+    );
+    assert_eq!(
+        stats.stall_gather_ns,
+        blocked.stall_gather_ns + starved.stall_gather_ns
     );
     assert_eq!(
         stats.gather_idle_ns,

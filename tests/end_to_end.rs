@@ -243,15 +243,28 @@ fn levels_from_parents(parent: &[i64], root: u32) -> Vec<i64> {
         .collect()
 }
 
+/// The bins an engine is opened with.
+#[derive(Debug, Clone, Copy)]
+enum Bins {
+    /// The paper's 1,024 bins, which over fewer vertices route one vertex
+    /// a slice (`dst % 1024`).
+    Default,
+    /// This many bins in 64 KiB; fewer bins own wider slices.
+    Count(usize),
+    /// 16 bins whose every buffer holds one staging batch (the floor), with
+    /// two scatter workers and one gather worker: appends find both
+    /// buffers of a bin out all the time, and scatter applies full bins
+    /// itself. Whether a given append stalls depends on scheduling.
+    Starved,
+}
+
 /// The graph and its transpose as one file set under one vertex layout, and
-/// the IO window cap and bin count to open them with.
+/// the IO window cap and bins to open them with.
 struct Setup {
     fwd: (PathBuf, Vec<PathBuf>),
     rev: (PathBuf, Vec<PathBuf>),
     queue_depth: usize,
-    /// `None` is the paper's 1,024 bins, which over fewer vertices route
-    /// one vertex a slice (`dst % 1024`); fewer bins own wider slices.
-    bin_count: Option<usize>,
+    bins: Bins,
 }
 
 impl Setup {
@@ -270,7 +283,7 @@ impl Setup {
             fwd: save(&physical, "g.gr").unwrap(),
             rev: save(&physical.transpose(), "g.tgr").unwrap(),
             queue_depth: EngineOptions::default().queue_depth,
-            bin_count: None,
+            bins: Bins::Default,
         }
     }
 
@@ -279,8 +292,19 @@ impl Setup {
     fn open(&self, (index, adj): &(PathBuf, Vec<PathBuf>)) -> BlazeEngine {
         let graph = Arc::new(DiskGraph::open_files(index, adj).unwrap());
         let mut options = EngineOptions::default().with_queue_depth(self.queue_depth);
-        if let Some(bins) = self.bin_count {
-            options = options.with_binning(BinningConfig::new(bins, 64 << 10, 64).unwrap());
+        match self.bins {
+            Bins::Default => {}
+            Bins::Count(bins) => {
+                options = options.with_binning(BinningConfig::new(bins, 64 << 10, 64).unwrap());
+            }
+            Bins::Starved => {
+                // One byte of bin space: every buffer is at the staging
+                // floor of 64 records.
+                options = options
+                    .with_binning(BinningConfig::new(16, 1, 64).unwrap())
+                    .with_compute_workers(3, 2.0 / 3.0);
+                assert_eq!((options.num_scatter, options.num_gather), (2, 1));
+            }
         }
         BlazeEngine::new(graph, options).unwrap()
     }
@@ -297,9 +321,11 @@ impl Setup {
 /// Tier-1 runs only this package, so this is where every query meets both
 /// modes once, and, in binned mode, every physical layout under both IO
 /// backends (`queue_depth` 1 is the inline `SyncBackend`, 16 the adaptive
-/// one), and bins that own vertex slices wider than one (3 bins over 512
-/// vertices: slices of 128, bin 0 holding two; 16 bins: slices of 32): a
-/// cell that breaks in a crate-level suite breaks here too.
+/// one), bins that own vertex slices wider than one (3 bins over 512
+/// vertices: slices of 128, bin 0 holding two; 16 bins: slices of 32), and
+/// bins so small that scatter keeps stalling and applying full bins itself
+/// (`Bins::Starved`): a cell that breaks in a crate-level suite breaks here
+/// too.
 #[test]
 fn every_query_matches_its_reference_in_every_mode() {
     use blaze::types::Result;
@@ -390,17 +416,18 @@ fn every_query_matches_its_reference_in_every_mode() {
         let dir = tempfile::tempdir().unwrap();
         let mut setup = Setup::write(&csr, layout, dir.path());
         let default_depth = setup.queue_depth;
-        let mut cells = vec![(1, Binned, None), (16, Binned, None)];
+        let mut cells = vec![(1, Binned, Bins::Default), (16, Binned, Bins::Default)];
         if layout == VertexLayout::None {
-            cells.push((default_depth, Sync, None));
-            cells.extend([3, 16].map(|bins| (default_depth, Binned, Some(bins))));
+            cells.push((default_depth, Sync, Bins::Default));
+            cells.extend([3, 16].map(|bins| (default_depth, Binned, Bins::Count(bins))));
+            cells.push((default_depth, Binned, Bins::Starved));
         }
-        for (queue_depth, mode, bin_count) in cells {
+        for (queue_depth, mode, bins) in cells {
             setup.queue_depth = queue_depth;
-            setup.bin_count = bin_count;
+            setup.bins = bins;
             for row in &rows {
                 let what = format!(
-                    "{} -mode {mode}, layout {}, queue depth {queue_depth}, bins {bin_count:?}",
+                    "{} -mode {mode}, layout {}, queue depth {queue_depth}, bins {bins:?}",
                     row.query,
                     layout.name()
                 );

@@ -174,3 +174,86 @@ fn out_of_range_destination_fails_the_job_cleanly() {
         }
     }
 }
+
+/// A gather worker whose closure panics loses the full bin it held, so that
+/// bin's pair is one buffer short for good. With one gather worker, a scatter
+/// stalled on that bin would wait for the lost buffer forever; the bin
+/// space is poisoned instead, the stalled append gives up, the job
+/// finishes and `edge_map` re-raises the panic, and the next job on the
+/// same engine is right. A watchdog turns a hang into a failure.
+#[test]
+fn panicking_gather_fails_its_job_instead_of_hanging_it() {
+    use blaze::algorithms::reference;
+    use blaze::binning::BinningConfig;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
+
+    let (finished, done) = channel();
+    let run = std::thread::spawn(move || {
+        let g = gen::rmat(&gen::RmatConfig::new(10));
+        // One device and one scatter worker: edges reach scatter in
+        // adjacency order. Four bins over 1,024 vertices own 256 each, and
+        // every buffer holds one staging batch of 8 records, so the first
+        // full bin goes to the gather worker right after the first bin
+        // has been sent 8 records, and no append can stall before some bin
+        // has been sent 24.
+        let mut sent = [0u32; 4];
+        let first_full = (0..g.num_vertices() as u32)
+            .flat_map(|v| g.neighbors(v))
+            .position(|&d| {
+                sent[(d >> 8) as usize] += 1;
+                sent[(d >> 8) as usize] == 8
+            })
+            .unwrap()
+            + 1;
+        let storage = Arc::new(StripedStorage::in_memory(1).unwrap());
+        let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
+        let options = EngineOptions::default()
+            .with_binning(BinningConfig::new(4, 1, 8).unwrap())
+            .with_compute_workers(2, 0.5);
+        let engine = BlazeEngine::new(graph, options).unwrap();
+        let frontier = VertexSubset::full(g.num_vertices());
+
+        // Scatter waits at that point until the gather worker has died
+        // applying the first full bin, then runs into the bin it lost.
+        let gather_died = (Mutex::new(false), Condvar::new());
+        let edges = AtomicU64::new(0);
+        let scatter = |s: u32, _d: u32| {
+            if edges.fetch_add(1, Ordering::Relaxed) == first_full as u64 {
+                let (died, wake) = &gather_died;
+                let timeout = Duration::from_secs(30);
+                let died = wake.wait_timeout_while(died.lock().unwrap(), timeout, |d| !*d);
+                assert!(
+                    *died.unwrap().0,
+                    "the gather worker never got the first bin"
+                );
+            }
+            s
+        };
+        let applied = AtomicU64::new(0);
+        let gather = |_d: u32, _v: u32| {
+            if applied.fetch_add(1, Ordering::Relaxed) == 3 {
+                *gather_died.0.lock().unwrap() = true;
+                gather_died.1.notify_all();
+                panic!("gather exploded at its 4th record");
+            }
+            false
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.edge_map(&frontier, scatter, gather, |_| true, false)
+        }));
+        assert!(caught.is_err(), "the gather panic reaches the submitter");
+        let parent = algo::bfs(&engine, 0, ExecMode::Binned).unwrap();
+        let levels = reference::bfs_levels(&g, 0);
+        for (v, &level) in levels.iter().enumerate() {
+            assert_eq!(parent.get(v) == -1, level == -1, "vertex {v}");
+        }
+        finished.send(()).unwrap();
+    });
+    if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(Duration::from_secs(60)) {
+        panic!("edge_map hung after its gather panicked");
+    }
+    run.join().unwrap();
+}
