@@ -6,7 +6,7 @@
 //! artifact's `bc` binary requires the `.tgr` transpose files.
 
 use blaze_core::{vertex_map, BlazeEngine, VertexArray};
-use blaze_frontier::VertexSubset;
+use blaze_frontier::{AtomicBitmap, VertexSubset};
 use blaze_types::{Result, VertexId};
 
 use crate::mode::ExecMode;
@@ -32,6 +32,13 @@ pub fn bc(
     sigma.set(root as usize, 1.0);
 
     // --- Forward sweep: shortest-path counts, level by level. ---
+    // `settled` holds the vertices at shallower levels than the one being
+    // built: `depth == -1 || depth == level` as one bit, which stays in
+    // cache where `depth` does not. It grows only at the level barrier, so
+    // a vertex claimed this level keeps collecting sigma from its other
+    // parents on the same level.
+    let settled = AtomicBitmap::new(n);
+    settled.set(root as usize);
     let mut levels: Vec<VertexSubset> = vec![VertexSubset::single(n, root)];
     while let Some(current) = levels.last() {
         if current.is_empty() {
@@ -43,10 +50,7 @@ pub fn bc(
         // finalized at a shallower level. GATHER: claim depth on first
         // touch, then accumulate sigma for same-level touches.
         let scatter = |s: VertexId, _d: VertexId| sigma.get(s as usize);
-        let cond = |d: VertexId| {
-            let dd = depth.get(d as usize);
-            dd == -1 || dd == level
-        };
+        let cond = |d: VertexId| !settled.get(d as usize);
         let next = match mode {
             ExecMode::Binned => out_engine.edge_map(
                 &current.clone_members(n),
@@ -84,6 +88,9 @@ pub fn bc(
                 true,
             )?,
         };
+        next.for_each(|v| {
+            settled.set(v as usize);
+        });
         levels.push(next);
     }
 
@@ -92,18 +99,19 @@ pub fn bc(
     let acc = VertexArray::<f64>::new(n, 0.0);
     let threads = out_engine.options().compute_workers();
     for l in (1..levels.len()).rev() {
-        let frontier = &levels[l];
+        let (frontier, parents) = (&levels[l], &levels[l - 1]);
         // SCATTER (over in-edges): (1 + delta[w]) / sigma[w] of the deeper
-        // vertex w. GATHER accumulates into predecessors at level l-1.
+        // vertex w. GATHER accumulates into predecessors at level l-1, whose
+        // frontier bitmap is the membership test.
         let scatter =
             |w: VertexId, _v: VertexId| (1.0 + delta.get(w as usize)) / sigma.get(w as usize);
-        let cond = |v: VertexId| depth.get(v as usize) == (l as i64) - 1;
+        let cond = |v: VertexId| parents.contains(v);
         match mode {
             ExecMode::Binned => in_engine.edge_map(
                 frontier,
                 scatter,
                 |v: VertexId, contribution: f64| {
-                    if depth.get(v as usize) == (l as i64) - 1 {
+                    if parents.contains(v) {
                         acc.set(v as usize, acc.get(v as usize) + contribution);
                         true
                     } else {
@@ -117,7 +125,7 @@ pub fn bc(
                 frontier,
                 scatter,
                 |v: VertexId, contribution: f64| {
-                    if depth.get(v as usize) == (l as i64) - 1 {
+                    if parents.contains(v) {
                         acc.fetch_add(v as usize, contribution);
                         true
                     } else {
@@ -129,7 +137,6 @@ pub fn bc(
             )?,
         };
         // delta[v] = sigma[v] * acc[v]; reset acc for the next level.
-        let parents = &levels[l - 1];
         let _ = vertex_map(
             parents,
             |v: VertexId| {

@@ -1,7 +1,7 @@
 //! Breadth-First Search — Algorithm 1 of the paper.
 
 use blaze_core::{BlazeEngine, VertexArray};
-use blaze_frontier::VertexSubset;
+use blaze_frontier::{AtomicBitmap, VertexSubset};
 use blaze_types::{Result, VertexId};
 
 use crate::mode::ExecMode;
@@ -13,46 +13,39 @@ use crate::mode::ExecMode;
 /// the state of Algorithm 1. Both `root` and the returned parents are
 /// original vertex ids regardless of the graph's physical layout; the
 /// traversal itself runs in physical space.
+///
+/// Unlike Algorithm 1, `cond` does not test `parent[d] == -1`: it tests a
+/// visited bitmap, which the gather claims before it writes the parent.
 pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<VertexArray<i64>> {
     let layout = engine.graph().layout();
     let root = layout.to_physical(root);
     let n = engine.num_vertices();
     let parent = VertexArray::<i64>::new(n, -1);
     parent.set(root as usize, root as i64);
+    // One bit per vertex for the test every edge makes: 128 KiB at 2^20
+    // vertices stays in L2, where the 8 MiB parent array does not.
+    let visited = AtomicBitmap::new(n);
+    visited.set(root as usize);
 
     let mut frontier = VertexSubset::single(n, root);
 
     // SCATTER returns the source id; COND visits unvisited destinations
-    // only; GATHER claims the destination and activates it.
+    // only; GATHER claims the destination's bit, exactly once in either
+    // mode, and only then writes its parent and activates it.
     let scatter = |s: VertexId, _d: VertexId| s;
-    let cond = |d: VertexId| parent.get(d as usize) == -1;
+    let gather = |d: VertexId, v: VertexId| {
+        let claimed = visited.set(d as usize);
+        if claimed {
+            parent.set(d as usize, v as i64);
+        }
+        claimed
+    };
+    let cond = |d: VertexId| !visited.get(d as usize);
 
     while !frontier.is_empty() {
         frontier = match mode {
-            ExecMode::Binned => engine.edge_map(
-                &frontier,
-                scatter,
-                |d: VertexId, v: VertexId| {
-                    if parent.get(d as usize) == -1 {
-                        parent.set(d as usize, v as i64);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                cond,
-                true,
-            )?,
-            ExecMode::Sync => engine.edge_map_sync(
-                &frontier,
-                scatter,
-                |d: VertexId, v: VertexId| {
-                    // compare-and-swap claims the vertex exactly once.
-                    parent.compare_exchange(d as usize, -1, v as i64).is_ok()
-                },
-                cond,
-                true,
-            )?,
+            ExecMode::Binned => engine.edge_map(&frontier, scatter, gather, cond, true)?,
+            ExecMode::Sync => engine.edge_map_sync(&frontier, scatter, gather, cond, true)?,
         };
     }
     Ok(finish_bfs(layout, parent, n))

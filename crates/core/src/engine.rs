@@ -21,7 +21,7 @@ use blaze_binning::{BinRecord, BinSpace, BinValue, BinningConfig, ScatterStaging
 use blaze_frontier::{PageSubset, VertexSubset};
 use blaze_graph::DiskGraph;
 use blaze_storage::{
-    BufferPool, FlightTable, IoBackend, JobIoStats, PageCache, StatsRow, SyncBackend,
+    BufferPool, FlightTable, IoBackend, JobIoStats, PageBatch, PageCache, StatsRow, SyncBackend,
     ThreadedBackend,
 };
 use blaze_types::{BlazeError, IterationTrace, JobCounter, Result, VertexId};
@@ -512,16 +512,32 @@ where
     fn run_scatter(&self, _worker: usize) {
         // Guard: a panic in the user's scatter/cond closures still counts
         // this worker as done; the last departing scatter (panicked or not)
-        // releases the gather side.
+        // takes back whatever the pumps still deliver, so that no pump waits
+        // forever for a buffer only scatter returns, and releases the gather
+        // side.
         struct ScatterGuard<'a, V: BinValue> {
             counter: &'a AtomicUsize,
             total: usize,
             space: Option<&'a BinSpace<V>>,
             all_done: &'a AtomicBool,
+            pool: &'a BufferPool,
+            io_done: &'a AtomicUsize,
+            num_devices: usize,
         }
         impl<V: BinValue> Drop for ScatterGuard<'_, V> {
             fn drop(&mut self) {
                 if self.counter.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
+                    // A clean exit found the pumps done and the queue empty,
+                    // so this only runs after a panic: drop the rest unread.
+                    let backoff = Backoff::new();
+                    while self.io_done.load(Ordering::Acquire) < self.num_devices // sync-audit: completion counter; guarded by the filled-queue recheck below.
+                        || self.pool.filled_len() > 0
+                    {
+                        match self.pool.pop_filled() {
+                            Some(batch) => self.pool.finish(batch),
+                            None => backoff.snooze(),
+                        }
+                    }
                     if let Some(space) = self.space {
                         space.flush_partials();
                     }
@@ -529,11 +545,26 @@ where
                 }
             }
         }
+        /// The batch being decoded, returned to the pool when dropped, also
+        /// when a user closure unwinds out of the decode loop.
+        struct HeldBatch<'a> {
+            pool: &'a BufferPool,
+            batch: PageBatch,
+        }
+        impl Drop for HeldBatch<'_> {
+            fn drop(&mut self) {
+                let taken = std::mem::replace(&mut self.batch, PageBatch::shared(vec![], vec![]));
+                self.pool.finish(taken);
+            }
+        }
         let _done = ScatterGuard {
             counter: &self.scatters_done,
             total: self.num_scatter,
             space: self.space,
             all_done: &self.all_scatter_done,
+            pool: self.pool,
+            io_done: &self.io_done,
+            num_devices: self.num_devices,
         };
         let mut staging = self.space.map(ScatterStaging::new);
         // A stalled append applies full bins with this rather than wait.
@@ -563,6 +594,11 @@ where
             };
             backoff.reset();
             let t = Instant::now();
+            let held = HeldBatch {
+                pool: self.pool,
+                batch,
+            };
+            let batch = &held.batch;
             for i in 0..batch.num_pages() {
                 batch.prefetch(i + 1);
                 let page = batch.page_id(i);
@@ -600,7 +636,7 @@ where
                 };
                 graph.for_each_vertex_in_page(page, batch.page_data(i), &mut scratch, body);
             }
-            self.pool.finish(batch);
+            drop(held);
             busy_ns += t.elapsed().as_nanos() as u64;
         }
         if let (Some(staging), Some(space)) = (&mut staging, self.space) {

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use blaze::engine::{BlazeEngine, EngineOptions, VertexArray};
-use blaze::frontier::VertexSubset;
+use blaze::frontier::{AtomicBitmap, VertexSubset};
 use blaze::graph::{gen, DiskGraph};
 use blaze::storage::StripedStorage;
 
@@ -38,12 +38,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. BFS via EdgeMap: scatter sends the source id, cond skips visited
-    //    destinations, gather claims the parent — no atomics needed, the
-    //    online-binning engine guarantees per-destination exclusivity.
+    //    destinations, gather claims the destination and records its
+    //    parent with a plain store — no CAS needed, the online-binning
+    //    engine guarantees per-destination exclusivity.
     let root = 0u32;
     let n = graph.num_vertices();
     let parent = VertexArray::<i64>::new(n, -1);
     parent.set(root as usize, root as i64);
+    // cond runs on every edge: a bit per vertex stays in cache where the
+    // 8-byte parent array does not.
+    let visited = AtomicBitmap::new(n);
+    visited.set(root as usize);
     let mut frontier = VertexSubset::single(n, root);
     let mut depth = 0;
     while !frontier.is_empty() {
@@ -52,14 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &frontier,
             |src, _dst| src,
             |dst, v| {
-                if parent.get(dst as usize) == -1 {
+                let claimed = visited.set(dst as usize);
+                if claimed {
                     parent.set(dst as usize, v as i64);
-                    true
-                } else {
-                    false
                 }
+                claimed
             },
-            |dst| parent.get(dst as usize) == -1,
+            |dst| !visited.get(dst as usize),
             true,
         )?;
         println!("depth {depth}: frontier {}", frontier.len());

@@ -11,7 +11,7 @@ use blaze::algorithms::{self as algo, reference, ExecMode, PageRankConfig};
 use blaze::binning::BinningConfig;
 use blaze::engine::{BlazeEngine, EngineOptions};
 use blaze::graph::disk::{save_files, save_files_with_layout, LayoutMeta};
-use blaze::graph::{gen, Csr, Dataset, DatasetScale, DiskGraph, VertexLayout};
+use blaze::graph::{gen, Csr, Dataset, DatasetScale, DiskGraph, GraphBuilder, VertexLayout};
 use blaze::storage::{BlockDevice, DeviceProfile, FileDevice, SimDevice, StripedStorage};
 
 fn engine_over(csr: &Csr, devices: usize) -> BlazeEngine {
@@ -28,15 +28,13 @@ fn bfs_agrees_with_reference_on_every_dataset() {
         let root = (0..csr.num_vertices() as u32)
             .max_by_key(|&v| csr.degree(v))
             .unwrap();
-        let parent = algo::bfs(&engine, root, ExecMode::Binned).unwrap();
-        let levels = reference::bfs_levels(&csr, root);
-        for v in 0..csr.num_vertices() {
-            assert_eq!(
-                parent.get(v) == -1,
-                levels[v] == -1,
-                "{dataset}: reachability mismatch at vertex {v}"
-            );
-        }
+        let parent = algo::bfs(&engine, root, ExecMode::Binned).unwrap().to_vec();
+        let what = dataset.to_string();
+        assert_eq!(
+            levels_of_bfs_tree(&csr, &parent, root, &what),
+            reference::bfs_levels(&csr, root),
+            "{what}"
+        );
     }
 }
 
@@ -56,12 +54,12 @@ fn wcc_agrees_with_union_find_on_every_dataset() {
 fn binned_and_sync_modes_agree_on_all_queries() {
     let csr = gen::rmat(&gen::RmatConfig::new(9));
     let t = csr.transpose();
-    // BFS reachability.
-    let p1 = algo::bfs(&engine_over(&csr, 1), 0, ExecMode::Binned).unwrap();
-    let p2 = algo::bfs(&engine_over(&csr, 1), 0, ExecMode::Sync).unwrap();
-    for v in 0..csr.num_vertices() {
-        assert_eq!(p1.get(v) == -1, p2.get(v) == -1, "bfs reach at {v}");
-    }
+    // BFS levels, each through a valid tree.
+    let [l1, l2] = [ExecMode::Binned, ExecMode::Sync].map(|m| {
+        let parent = algo::bfs(&engine_over(&csr, 1), 0, m).unwrap().to_vec();
+        levels_of_bfs_tree(&csr, &parent, 0, &format!("bfs -mode {m}"))
+    });
+    assert_eq!(l1, l2, "bfs levels");
     // PageRank values.
     let cfg = PageRankConfig::default();
     let r1 = algo::pagerank_delta(&engine_over(&csr, 1), cfg, ExecMode::Binned).unwrap();
@@ -226,21 +224,42 @@ impl Answer {
     }
 }
 
-/// BFS levels from a parent array: the tree may differ between schedules,
-/// the levels may not.
-fn levels_from_parents(parent: &[i64], root: u32) -> Vec<i64> {
+/// BFS levels from a parent array, after checking that it is a BFS tree of
+/// `csr`: the root is its own parent, every other reached vertex's parent
+/// has an edge to it and sits exactly one level shallower, and every
+/// unreached vertex holds -1. The tree may differ between schedules, the
+/// levels may not.
+fn levels_of_bfs_tree(csr: &Csr, parent: &[i64], root: u32, what: &str) -> Vec<i64> {
+    assert_eq!(parent[root as usize], i64::from(root), "{what}: root");
     let depth = |v: usize| {
         let (mut cur, mut depth) = (v, 0i64);
         while cur != root as usize {
             cur = parent[cur] as usize;
             depth += 1;
-            assert!(depth <= parent.len() as i64, "parent cycle at {v}");
+            assert!(depth <= parent.len() as i64, "{what}: parent cycle at {v}");
         }
         depth
     };
-    (0..parent.len())
-        .map(|v| if parent[v] < 0 { -1 } else { depth(v) })
-        .collect()
+    let levels: Vec<i64> = (0..parent.len())
+        .map(|v| match parent[v] {
+            -1 => -1,
+            p => {
+                assert!(p >= 0, "{what}: vertex {v} holds {p}");
+                depth(v)
+            }
+        })
+        .collect();
+    for (v, &p) in parent.iter().enumerate() {
+        if p >= 0 && v != root as usize {
+            let p = p as u32;
+            assert!(
+                csr.neighbors(p).contains(&(v as u32)),
+                "{what}: parent {p} of {v} has no edge to it"
+            );
+            assert_eq!(levels[p as usize] + 1, levels[v], "{what}: parent of {v}");
+        }
+    }
+    levels
 }
 
 /// The bins an engine is opened with.
@@ -263,6 +282,7 @@ enum Bins {
 struct Setup {
     fwd: (PathBuf, Vec<PathBuf>),
     rev: (PathBuf, Vec<PathBuf>),
+    layout: VertexLayout,
     queue_depth: usize,
     bins: Bins,
 }
@@ -282,9 +302,44 @@ impl Setup {
         Setup {
             fwd: save(&physical, "g.gr").unwrap(),
             rev: save(&physical.transpose(), "g.tgr").unwrap(),
+            layout,
             queue_depth: EngineOptions::default().queue_depth,
             bins: Bins::Default,
         }
+    }
+
+    /// The cells (queue depth, mode, bins) a query meets under this
+    /// layout: binned at both IO backends everywhere; on the identity
+    /// layout also sync mode, the 3- and 16-bin spaces and starved bins.
+    fn cells(&self) -> Vec<(usize, ExecMode, Bins)> {
+        let depth = EngineOptions::default().queue_depth;
+        let mut cells = vec![
+            (1, ExecMode::Binned, Bins::Default),
+            (16, ExecMode::Binned, Bins::Default),
+        ];
+        if self.layout == VertexLayout::None {
+            cells.push((depth, ExecMode::Sync, Bins::Default));
+            cells.extend([3, 16].map(|bins| (depth, ExecMode::Binned, Bins::Count(bins))));
+            cells.push((depth, ExecMode::Binned, Bins::Starved));
+        }
+        cells
+    }
+
+    /// Moves to `cell` and names it for assertion messages.
+    fn enter(&mut self, (queue_depth, mode, bins): (usize, ExecMode, Bins)) -> String {
+        self.queue_depth = queue_depth;
+        self.bins = bins;
+        self.name(mode)
+    }
+
+    /// The current cell in `mode`, for assertion messages.
+    fn name(&self, mode: ExecMode) -> String {
+        format!(
+            "-mode {mode}, layout {}, queue depth {}, bins {:?}",
+            self.layout.name(),
+            self.queue_depth,
+            self.bins
+        )
     }
 
     /// A fresh engine per call: no run sees another's cache, arenas or
@@ -329,7 +384,6 @@ impl Setup {
 #[test]
 fn every_query_matches_its_reference_in_every_mode() {
     use blaze::types::Result;
-    use ExecMode::{Binned, Sync};
 
     let csr = gen::rmat(&gen::RmatConfig::new(9));
     let n = csr.num_vertices();
@@ -359,7 +413,10 @@ fn every_query_matches_its_reference_in_every_mode() {
             query: "bfs",
             run: Box::new(|s, m| {
                 let parent = algo::bfs(&s.fwd(), root, m)?.to_vec();
-                Ok(Answer::exact(&levels_from_parents(&parent, root)))
+                let what = format!("bfs {}", s.name(m));
+                Ok(Answer::exact(&levels_of_bfs_tree(
+                    &csr, &parent, root, &what,
+                )))
             }),
             want: Answer::exact(&reference::bfs_levels(&csr, root)),
         },
@@ -415,26 +472,93 @@ fn every_query_matches_its_reference_in_every_mode() {
     for layout in [VertexLayout::None, VertexLayout::Degree, VertexLayout::Hub] {
         let dir = tempfile::tempdir().unwrap();
         let mut setup = Setup::write(&csr, layout, dir.path());
-        let default_depth = setup.queue_depth;
-        let mut cells = vec![(1, Binned, Bins::Default), (16, Binned, Bins::Default)];
-        if layout == VertexLayout::None {
-            cells.push((default_depth, Sync, Bins::Default));
-            cells.extend([3, 16].map(|bins| (default_depth, Binned, Bins::Count(bins))));
-            cells.push((default_depth, Binned, Bins::Starved));
-        }
-        for (queue_depth, mode, bins) in cells {
-            setup.queue_depth = queue_depth;
-            setup.bins = bins;
+        for cell in setup.cells() {
+            let mode = cell.1;
+            let cell_name = setup.enter(cell);
             for row in &rows {
-                let what = format!(
-                    "{} -mode {mode}, layout {}, queue depth {queue_depth}, bins {bins:?}",
-                    row.query,
-                    layout.name()
-                );
+                let what = format!("{} {cell_name}", row.query);
                 let got = (row.run)(&setup, mode).unwrap_or_else(|e| panic!("{what}: {e}"));
                 got.assert_matches(&row.want, &what);
             }
         }
+    }
+}
+
+/// Many records race for one claim: every edge of an R-MAT twice, a
+/// self-loop on every vertex, and a funnel in which the root's 64
+/// out-neighbours each point three times at each of the same 8 vertices.
+/// The BFS tree holds in every cell of the query matrix.
+#[test]
+fn bfs_tree_holds_on_a_multigraph_in_every_cell() {
+    let base = gen::rmat(&gen::RmatConfig::new(9));
+    let n = base.num_vertices() as u32;
+    let mut builder = GraphBuilder::new(n as usize);
+    for v in 0..n {
+        builder.add_edge(v, v);
+        for &d in base.neighbors(v) {
+            builder.extend([(v, d); 2]);
+        }
+    }
+    for s in 1..=64 {
+        builder.add_edge(0, s);
+        for d in n - 8..n {
+            builder.extend([(s, d); 3]);
+        }
+    }
+    let csr = builder.build();
+    let root = 0;
+    let want = reference::bfs_levels(&csr, root);
+    for layout in [VertexLayout::None, VertexLayout::Degree, VertexLayout::Hub] {
+        let dir = tempfile::tempdir().unwrap();
+        let mut setup = Setup::write(&csr, layout, dir.path());
+        for cell in setup.cells() {
+            let mode = cell.1;
+            let what = format!("bfs {}", setup.enter(cell));
+            let parent = algo::bfs(&setup.fwd(), root, mode)
+                .unwrap_or_else(|e| panic!("{what}: {e}"))
+                .to_vec();
+            assert_eq!(
+                levels_of_bfs_tree(&csr, &parent, root, &what),
+                want,
+                "{what}"
+            );
+        }
+    }
+}
+
+/// A layered diamond lattice: the root points at every vertex of layer 1,
+/// and vertex `j` of each layer at vertices `j` and `j + 1 (mod W)` of the
+/// next, so every vertex below layer 1 has two parents on one level. Vertex
+/// `x` is reachable at two depths: at 2 through layer 1 and at 4 through
+/// layer 3. Every path count is a power of two, so every score sums
+/// exactly in any order and both modes match the reference bit for bit; a
+/// vertex that stopped collecting path counts from its parents on one
+/// level before the level ended would lose half of them.
+#[test]
+fn bc_keeps_every_parent_on_one_level() {
+    const W: u32 = 16;
+    const LAYERS: u32 = 6;
+    let at = |layer: u32, j: u32| 1 + (layer - 1) * W + j % W;
+    let x = 1 + LAYERS * W;
+    let mut builder = GraphBuilder::new(x as usize + 1);
+    for j in 0..W {
+        builder.add_edge(0, at(1, j));
+        for layer in 1..LAYERS {
+            builder.extend([
+                (at(layer, j), at(layer + 1, j)),
+                (at(layer, j), at(layer + 1, j + 1)),
+            ]);
+        }
+    }
+    builder.extend([(at(1, 0), x), (at(3, 5), x)]);
+    let csr = builder.build();
+    let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    let want = reference::bc_scores(&csr, 0);
+    for mode in [ExecMode::Binned, ExecMode::Sync] {
+        let out_engine = engine_over(&csr, 2);
+        let in_engine = engine_over(&csr.transpose(), 2);
+        let got = algo::bc(&out_engine, &in_engine, 0, mode).unwrap().to_vec();
+        assert_eq!(bits(&got), bits(&want), "-mode {mode}: {got:?}");
     }
 }
 

@@ -175,6 +175,81 @@ fn out_of_range_destination_fails_the_job_cleanly() {
     }
 }
 
+/// A `cond` that panics kills the one scatter worker of a job whose graph is
+/// at least 16 times its IO pool, with most pages still to read: in both modes the
+/// job ends, `edge_map` / `edge_map_sync` re-raise the panic, the job's
+/// arena (which may have lost buffers on the unwound stack) is not cached
+/// for reuse, and the next BFS on the same engine matches its reference
+/// and returns a whole arena. A watchdog turns a hang into a failure.
+#[test]
+fn panicking_cond_fails_its_job_in_both_modes() {
+    use blaze::algorithms::reference;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    let (finished, done) = channel();
+    let run = std::thread::spawn(move || {
+        let g = gen::rmat(&gen::RmatConfig::new(15));
+        let storage = Arc::new(StripedStorage::in_memory(1).unwrap());
+        let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
+        // Four buffers of four pages: with scatter gone, the pump runs out
+        // of them long before it runs out of pages.
+        let mut options = EngineOptions::default().with_compute_workers(2, 0.5);
+        options.io_buffer_bytes = 4 * options.merge_window * blaze::types::PAGE_SIZE;
+        assert!(graph.storage_bytes() >= 16 * options.io_buffer_bytes as u64);
+        let levels = reference::bfs_levels(&g, 0);
+        let bfs_matches = |engine: &BlazeEngine, mode: ExecMode| {
+            let parent = algo::bfs(engine, 0, mode).unwrap();
+            for (v, &level) in levels.iter().enumerate() {
+                assert_eq!(parent.get(v) == -1, level == -1, "-mode {mode}, vertex {v}");
+            }
+        };
+        // Binned jobs cache a pool and a bin space, sync jobs a pool.
+        for (mode, pieces) in [(ExecMode::Binned, 2), (ExecMode::Sync, 1)] {
+            let engine = BlazeEngine::new(graph.clone(), options.clone()).unwrap();
+            bfs_matches(&engine, mode);
+            assert_eq!(engine.arena().idle_len(), pieces, "-mode {mode}");
+
+            let frontier = VertexSubset::full(g.num_vertices());
+            let tested = AtomicU64::new(0);
+            let cond = |_d: u32| {
+                if tested.fetch_add(1, Ordering::Relaxed) == 100 {
+                    panic!("cond exploded at its 101st destination");
+                }
+                true
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match mode {
+                ExecMode::Binned => {
+                    engine.edge_map(&frontier, |s, _d| s, |_d, _v| false, cond, false)
+                }
+                ExecMode::Sync => {
+                    engine.edge_map_sync(&frontier, |s, _d| s, |_d, _v| false, cond, false)
+                }
+            }));
+            let payload = caught.expect_err("the cond panic reaches the submitter");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"cond exploded at its 101st destination"),
+                "-mode {mode}"
+            );
+            assert_eq!(
+                engine.arena().idle_len(),
+                0,
+                "-mode {mode}: a poisoned arena was cached"
+            );
+
+            bfs_matches(&engine, mode);
+            assert_eq!(engine.arena().idle_len(), pieces, "-mode {mode}");
+        }
+        finished.send(()).unwrap();
+    });
+    if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(Duration::from_secs(60)) {
+        panic!("edge_map hung after its cond panicked");
+    }
+    run.join().unwrap();
+}
+
 /// A gather worker whose closure panics loses the full bin it held, so that
 /// bin's pair is one buffer short for good. With one gather worker, a scatter
 /// stalled on that bin would wait for the lost buffer forever; the bin
