@@ -14,8 +14,11 @@ use crate::mode::ExecMode;
 /// original vertex ids regardless of the graph's physical layout; the
 /// traversal itself runs in physical space.
 ///
-/// Unlike Algorithm 1, `cond` does not test `parent[d] == -1`: it tests a
-/// visited bitmap, which the gather claims before it writes the parent.
+/// Unlike Algorithm 1, `cond` does not test `parent[d] == -1`: it claims
+/// the destination's bit in a visited bitmap, so only the first edge into
+/// a vertex makes a record, and the gather writes the parent that record
+/// carries. A query's records are then the vertices it reaches, whatever
+/// the timing of scatter and gather.
 pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<VertexArray<i64>> {
     let layout = engine.graph().layout();
     let root = layout.to_physical(root);
@@ -29,18 +32,15 @@ pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Verte
 
     let mut frontier = VertexSubset::single(n, root);
 
-    // SCATTER returns the source id; COND visits unvisited destinations
-    // only; GATHER claims the destination's bit, exactly once in either
-    // mode, and only then writes its parent and activates it.
+    // SCATTER returns the source id; COND claims the destination's bit,
+    // true for exactly one edge into it in either mode; GATHER writes the
+    // parent of the one record a vertex gets and activates it.
     let scatter = |s: VertexId, _d: VertexId| s;
     let gather = |d: VertexId, v: VertexId| {
-        let claimed = visited.set(d as usize);
-        if claimed {
-            parent.set(d as usize, v as i64);
-        }
-        claimed
+        parent.set(d as usize, v as i64);
+        true
     };
-    let cond = |d: VertexId| !visited.get(d as usize);
+    let cond = |d: VertexId| visited.set(d as usize);
 
     while !frontier.is_empty() {
         frontier = match mode {
@@ -131,6 +131,18 @@ mod tests {
         let e = engine(&g, 2);
         let parent = bfs(&e, 0, ExecMode::Sync).unwrap();
         assert_valid_bfs(&g, 0, &parent);
+    }
+
+    #[test]
+    fn bfs_makes_one_record_per_reached_vertex() {
+        let g = rmat(&RmatConfig::new(9));
+        let levels = reference::bfs_levels(&g, 0);
+        let reached = levels.iter().filter(|&&l| l >= 0).count() as u64;
+        for mode in [ExecMode::Binned, ExecMode::Sync] {
+            let e = engine(&g, 2);
+            assert_valid_bfs(&g, 0, &bfs(&e, 0, mode).unwrap());
+            assert_eq!(e.stats().records_produced, reached - 1, "{mode:?}");
+        }
     }
 
     #[test]

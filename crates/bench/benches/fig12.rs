@@ -44,9 +44,10 @@ fn main() {
         let graph_bytes = graph.storage_bytes();
         // Paper proportions: 64 MB of IO buffers against multi-GB graphs
         // (~0.8%) and bin space at 5% of the graph; at reduced scale the
-        // default per-bin floors (1024 bins x 64-record staging) would
-        // swamp a sub-megabyte graph, so bin count and staging batch scale
-        // down with the graph while keeping the paper's ratios.
+        // default per-bin floors (at least 64 derived bins x 64-record
+        // staging) would swamp a sub-megabyte graph, so bin count and
+        // staging batch scale down with the graph while keeping the
+        // paper's ratios.
         let bin_count = (graph.num_pages() as usize).clamp(16, 1024);
         let binning = blaze_binning::BinningConfig::new(
             bin_count,

@@ -2,7 +2,7 @@
 
 use blaze_types::{
     BlazeError, Result, DEFAULT_BIN_COUNT, DEFAULT_BIN_SPACE_RATIO, DEFAULT_STAGING_RECORDS,
-    MAX_BIN_COUNT,
+    MAX_BIN_COUNT, MIN_BIN_BUFFER_BYTES, MIN_DERIVED_BIN_COUNT,
 };
 
 /// Parameters of the online-binning machinery.
@@ -10,7 +10,9 @@ use blaze_types::{
 /// The paper finds performance robust across a wide range: ~1000 bins,
 /// total bin space ≈ 5% of the input graph (equivalently ≈ `5·|E|·4` bytes
 /// ÷ 16, see Figure 10), and an equal number of scatter and gather threads
-/// are good defaults, with careful tuning worth at most ~5%.
+/// are good defaults, with careful tuning worth at most ~5%. On the paper's
+/// graphs each of 1,024 bins holds megabytes; [`for_space`](Self::for_space)
+/// keeps 1,024 only where the bin space still gives every buffer 8 KiB.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinningConfig {
     /// Number of bins. A space built for `n` vertices routes a record to
@@ -24,6 +26,15 @@ pub struct BinningConfig {
     /// Records a scatter thread stages per bin before flushing in batch.
     pub staging_records: usize,
 }
+
+// `for_space` rounds down to a power of two between these bounds, which
+// holds only if both are powers of two.
+const _: () = assert!(
+    MIN_DERIVED_BIN_COUNT.is_power_of_two()
+        && DEFAULT_BIN_COUNT.is_power_of_two()
+        && MIN_DERIVED_BIN_COUNT <= DEFAULT_BIN_COUNT
+        && DEFAULT_BIN_COUNT <= MAX_BIN_COUNT
+);
 
 /// The bound both ways of setting a bin count share; [`MAX_BIN_COUNT`] says
 /// why there is an upper one.
@@ -52,12 +63,27 @@ impl BinningConfig {
     }
 
     /// The paper's default heuristic for a graph of `graph_bytes` on disk:
-    /// bin space = 5% of the graph, 1024 bins.
+    /// bin space = 5% of the graph (at least 64 KiB), binned as
+    /// [`for_space`](Self::for_space) divides it.
     pub fn for_graph(graph_bytes: u64) -> Self {
         let space = ((graph_bytes as f64 * DEFAULT_BIN_SPACE_RATIO) as usize).max(64 << 10);
+        Self::for_space(space)
+    }
+
+    /// `bin_space_bytes` divided into as many bins as leave each of the two
+    /// buffers of a bin at least [`MIN_BIN_BUFFER_BYTES`], rounded down to a
+    /// power of two and held between [`MIN_DERIVED_BIN_COUNT`] and
+    /// [`DEFAULT_BIN_COUNT`]. A bin space of 16 MiB or more gets the
+    /// paper's 1,024 bins; the 3.4 MB of a scale-20 graph gets 128 bins of
+    /// 13.4 KiB buffers where 1,024 would hold 1.6 KiB each, a hand-off
+    /// every 104 records of 16 bytes.
+    pub fn for_space(bin_space_bytes: usize) -> Self {
+        let fitting = bin_space_bytes / (2 * MIN_BIN_BUFFER_BYTES);
+        let clamped = fitting.clamp(MIN_DERIVED_BIN_COUNT, DEFAULT_BIN_COUNT);
         Self {
-            bin_count: DEFAULT_BIN_COUNT,
-            bin_space_bytes: space,
+            // The largest power of two not above `clamped`.
+            bin_count: 1 << clamped.ilog2(),
+            bin_space_bytes,
             staging_records: DEFAULT_STAGING_RECORDS,
         }
     }
@@ -114,7 +140,35 @@ mod tests {
     fn heuristic_is_five_percent() {
         let c = BinningConfig::for_graph(100 << 20);
         assert_eq!(c.bin_space_bytes, 5 << 20);
-        assert_eq!(c.bin_count, 1024);
+        assert_eq!(c, BinningConfig::for_space(5 << 20));
+    }
+
+    #[test]
+    fn bin_count_follows_bin_space() {
+        for (space, bins) in [
+            (64 << 10, 64),
+            (3_400_000, 128),
+            (5 << 20, 256),
+            (16 << 20, 1024),
+            (1 << 30, 1024),
+        ] {
+            assert_eq!(
+                BinningConfig::for_space(space).bin_count,
+                bins,
+                "{space} bytes"
+            );
+        }
+        for shift in 10..34 {
+            for space in [1usize << shift, (1 << shift) + (1 << (shift - 1)) + 7] {
+                let c = BinningConfig::for_space(space);
+                assert!(c.bin_count.is_power_of_two(), "{space} bytes");
+                assert!((MIN_DERIVED_BIN_COUNT..=DEFAULT_BIN_COUNT).contains(&c.bin_count));
+                if c.bin_count > MIN_DERIVED_BIN_COUNT {
+                    let buffer_bytes = space / c.bin_count / 2;
+                    assert!(buffer_bytes >= MIN_BIN_BUFFER_BYTES, "{space} bytes");
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub(crate) struct CliArgs {
     pub start_node: u32,
     pub bin_space_bytes: usize,
     pub binning_ratio: f64,
-    pub bin_count: usize,
+    /// `None` derives the count from the bin space.
+    pub bin_count: Option<usize>,
     /// `None` runs on the raw files.
     pub device: Option<DeviceProfile>,
     pub max_iters: usize,
@@ -60,7 +61,7 @@ impl Default for CliArgs {
             start_node: 0,
             bin_space_bytes: 0,
             binning_ratio: 0.5,
-            bin_count: blaze_types::DEFAULT_BIN_COUNT,
+            bin_count: None,
             device: Some(DeviceProfile::optane_p4800x()),
             max_iters: 100,
             jobs: 1,
@@ -161,9 +162,10 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "-binCount",
         value: Some("N"),
-        help: "number of bins, each owning one or two contiguous vertex ranges (default 1024)",
+        help: "number of bins, each owning one or two contiguous vertex ranges \
+               (default: bin space / 16 KiB rounded down to a power of two, within 64..=1024)",
         readers: Command::is_query,
-        set: |a, f, v| put(&mut a.bin_count, int(f, v, 0, u64::MAX)),
+        set: |a, f, v| put(&mut a.bin_count, int(f, v, 0, u64::MAX).map(Some)),
     },
     Flag {
         name: "-device",
@@ -438,7 +440,8 @@ mod tests {
         let a = parse_bfs("-binSpace 256 -binningRatio 0.5 -binCount 1024 g.gr.index g.gr.adj.0")
             .unwrap();
         assert_eq!(a.bin_space_bytes, 256 << 20);
-        assert_eq!(a.bin_count, 1024);
+        assert_eq!(a.bin_count, Some(1024));
+        assert_eq!(parse_bfs("g.gr.index g.gr.adj.0").unwrap().bin_count, None);
         assert!((a.binning_ratio - 0.5).abs() < 1e-12);
     }
 

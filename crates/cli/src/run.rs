@@ -40,8 +40,8 @@ fn open_storage(adj: &[PathBuf], profile: &Option<DeviceProfile>) -> Result<Arc<
 }
 
 /// Resolves the binning/cache/worker flags into engine options.
-/// `storage_bytes` feeds the bin-count heuristic when no explicit bin
-/// space was given.
+/// `storage_bytes` sizes the bin space when no explicit one was given; a
+/// bin count not given is derived from the bin space.
 fn engine_options(args: &CliArgs, storage_bytes: u64) -> Result<EngineOptions> {
     let mut options = EngineOptions::default()
         .with_compute_workers(args.compute_workers.max(2), args.binning_ratio)
@@ -61,17 +61,14 @@ fn engine_options(args: &CliArgs, storage_bytes: u64) -> Result<EngineOptions> {
         // lets every job's pump make independent progress.
         options = options.with_scan_sharing(args.jobs);
     }
-    if args.bin_space_bytes > 0 {
-        options = options.with_binning(BinningConfig::new(
-            args.bin_count,
-            args.bin_space_bytes,
-            blaze_types::DEFAULT_STAGING_RECORDS,
-        )?);
-    } else if args.bin_count != blaze_types::DEFAULT_BIN_COUNT {
-        let heuristic = BinningConfig::for_graph(storage_bytes);
-        options = options.with_binning(heuristic.with_bin_count(args.bin_count)?);
-    }
-    Ok(options)
+    let derived = match args.bin_space_bytes {
+        0 => BinningConfig::for_graph(storage_bytes),
+        space => BinningConfig::for_space(space),
+    };
+    Ok(options.with_binning(match args.bin_count {
+        Some(bins) => derived.with_bin_count(bins)?,
+        None => derived,
+    }))
 }
 
 /// Builds an engine over one graph direction.
@@ -122,6 +119,13 @@ pub fn print_run_summary(query: &str, engine: &BlazeEngine, wall: std::time::Dur
     println!(
         "iterations: {}, edges processed: {}, bin records: {}",
         stats.iterations, stats.edges_processed, stats.records_produced
+    );
+    let binning = engine.binning();
+    println!(
+        "bins: {} × 2 buffers of {} bytes ({} bytes of bin space)",
+        binning.bin_count,
+        binning.bin_space_bytes / binning.bin_count / 2,
+        binning.bin_space_bytes
     );
     println!(
         "io: {} bytes in {} requests",
@@ -221,12 +225,38 @@ mod tests {
         let (index, adj) = save_files(&g, dir.path(), "t.gr", 1).unwrap();
         let args = CliArgs {
             bin_space_bytes: 2 << 20,
-            bin_count: 64,
+            bin_count: Some(64),
             ..Default::default()
         };
         let engine = open_engine(&args, &index, &adj).unwrap();
         assert_eq!(engine.binning().bin_count, 64);
         assert_eq!(engine.binning().bin_space_bytes, 2 << 20);
+    }
+
+    #[test]
+    fn bin_count_is_derived_unless_given() {
+        let g = rmat(&RmatConfig::new(6));
+        let dir = tempfile::tempdir().unwrap();
+        let (index, adj) = save_files(&g, dir.path(), "t.gr", 1).unwrap();
+        let bins = |args: CliArgs| open_engine(&args, &index, &adj).unwrap().binning().clone();
+        // The paper's count, asked for, is not taken for "no flag".
+        let explicit = CliArgs {
+            bin_count: Some(1024),
+            ..Default::default()
+        };
+        assert_eq!(bins(explicit).bin_count, 1024);
+        // A bin space alone derives its own count: 1 MiB is the floor's.
+        let space = bins(CliArgs {
+            bin_space_bytes: 1 << 20,
+            ..Default::default()
+        });
+        assert_eq!((space.bin_count, space.bin_space_bytes), (64, 1 << 20));
+        // No flag: the engine's heuristic over the graph.
+        let storage_bytes = DiskGraph::open_files(&index, &adj).unwrap().storage_bytes();
+        assert_eq!(
+            bins(CliArgs::default()),
+            BinningConfig::for_graph(storage_bytes)
+        );
     }
 
     #[test]

@@ -84,7 +84,8 @@ pub struct BlazeEngine {
 
 impl BlazeEngine {
     /// Creates an engine over `graph`. Binning defaults to the paper's
-    /// heuristics (5% of graph size, 1024 bins) unless overridden. The
+    /// bin space (5% of graph size) with a bin count derived from it
+    /// (`BinningConfig::for_graph`) unless overridden. The
     /// persistent worker set (one IO worker per device, plus the scatter
     /// and gather pools) is spawned here and lives until the engine drops.
     pub fn new(graph: Arc<DiskGraph>, options: EngineOptions) -> Result<Self> {

@@ -23,12 +23,18 @@
 //! or a flight's subscribers need the frame. Nothing here depends on the
 //! `edge_map` closures, so it is compiled once, not per algorithm.
 
+use std::collections::BTreeMap;
+
 use blaze_storage::request::merge_pages_with_window;
 use blaze_storage::{
     BufferPool, FlightLease, FlightPart, FlightTable, IoBackend, IoBuffer, IoRequest, JobIoStats,
     PageBatch, PageCache, PageFrame, StatsRow, StripedStorage,
 };
 use blaze_types::{BlazeError, JobCounter, LocalPageId, PageId, Result, PAGE_SIZE};
+
+/// The pages of one device read and their frames, on their way into the
+/// cache.
+type Admission = (Vec<PageId>, Vec<PageFrame>);
 
 /// One IO worker's view of one job: the engine's storage stack for device
 /// `dev` plus the job's pool, counters and submission seniority.
@@ -212,6 +218,13 @@ impl PageSupply<'_> {
     /// submitting but keeps reaping until the queue drains, so no buffer is
     /// lost and the pool stays intact — first error wins.
     ///
+    /// Reads complete out of order once the window is deep, but the cache
+    /// admits them in submission order: which pages its clock evicts then
+    /// follows the page stream alone, not which helper thread finished
+    /// first, so a query's device reads repeat from run to run. With a
+    /// cache, a read stays in the window until it is admitted, so the
+    /// frames held back for admission never exceed a window's worth.
+    ///
     /// The window is what the backend asks for (1 while it reads inline, its
     /// queue depth once the device is slow), capped at this device's share
     /// of the pool: every in-flight request owns a buffer until it is
@@ -232,12 +245,21 @@ impl PageSupply<'_> {
         let mut next = 0usize;
         let mut in_flight = 0usize;
         let mut first_error: Option<BlazeError> = None;
+        // Delivered reads the cache has not admitted yet, by submit tag.
+        let mut unadmitted: BTreeMap<usize, Admission> = BTreeMap::new();
+        let mut next_admit = 0usize;
         while next < requests.len() || in_flight > 0 {
             // Asked again on every refill: the backend widens the window
             // when the device turns out slow and narrows it to 1 when it
             // does not (the first scan of a cold file, then the second).
             let window = self.backend.window(self.dev).min(share).max(1);
-            while first_error.is_none() && in_flight < window && next < requests.len() {
+            // With a cache a read keeps its place in the window until it
+            // is admitted, not only while it is in flight.
+            let settled = match self.cache {
+                Some(_) => next_admit,
+                None => next - in_flight,
+            };
+            while first_error.is_none() && next - settled < window && next < requests.len() {
                 let buffer = self.pool.acquire_free();
                 in_flight += 1;
                 self.stats
@@ -275,7 +297,16 @@ impl PageSupply<'_> {
                     }
                     self.pool.release(buffer);
                 }
-                Ok(()) => self.deliver(completion.request, buffer, lease),
+                Ok(()) => {
+                    let admission = self.deliver(completion.request, buffer, lease);
+                    if let (Some(cache), Some(admission)) = (self.cache, admission) {
+                        unadmitted.insert(completion.tag as usize, admission);
+                        while let Some((pages, frames)) = unadmitted.remove(&next_admit) {
+                            self.admit(cache, &pages, &frames);
+                            next_admit += 1;
+                        }
+                    }
+                }
             }
         }
         match first_error {
@@ -284,24 +315,31 @@ impl PageSupply<'_> {
         }
     }
 
-    /// A successful device read of `request`: admits it to the cache,
-    /// resolves its flight, and emits the buffer itself. Frames are built
-    /// only if the cache or the flight wants them, and both share the same
-    /// allocations.
-    fn deliver(&self, request: IoRequest, buffer: IoBuffer, lease: Option<FlightLease>) {
+    /// A successful device read of `request`: resolves its flight, emits
+    /// the buffer itself, and returns what the cache is to admit (`None`
+    /// without a cache). Frames are built only if the cache or the flight
+    /// wants them, and both share the same allocations.
+    fn deliver(
+        &self,
+        request: IoRequest,
+        buffer: IoBuffer,
+        lease: Option<FlightLease>,
+    ) -> Option<Admission> {
         self.stats.record_read(self.dev, request);
         let n = request.num_pages as usize;
         let pages = self.global_run(request.first_page, n);
+        let mut admission = None;
         if self.cache.is_some() || lease.is_some() {
             let frames = page_frames(&buffer, n);
-            if let Some(cache) = self.cache {
-                self.admit(cache, &pages, &frames);
+            if self.cache.is_some() {
+                admission = Some((pages.clone(), frames.clone()));
             }
             if let Some(lease) = lease {
                 lease.complete(frames);
             }
         }
         self.emit(PageBatch::owned(buffer, pages));
+        admission
     }
 
     /// Inserts freshly read pages into the cache and counts the outcome.
@@ -512,6 +550,42 @@ mod tests {
             let traces = e.take_traces();
             assert!(traces.iter().any(|t| t.io_max_in_flight > 1));
             assert!(traces.iter().any(|t| t.cache_hit_pages > 0));
+        }
+    }
+
+    #[test]
+    fn a_deep_window_fills_the_cache_in_submission_order() {
+        // Full scans through a cache of a quarter of the graph, so every
+        // scan evicts. A clock cache fed the same lookups and inserts one
+        // after another, in page order, must end each scan with the same
+        // misses and the same residents, however the helpers completed.
+        let g = uniform(12, 16, 7);
+        let e = slow_engine(&g, 1, EngineOptions::default().with_page_cache(16));
+        let cache = e.page_cache().unwrap();
+        let model = PageCache::with_capacity_pages(cache.capacity_pages());
+        let pages = e.graph().num_pages();
+        let frontier = VertexSubset::full(e.num_vertices());
+        let mut deep_scans = 0;
+        for _ in 0..10_000 {
+            e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+                .unwrap();
+            deep_scans += usize::from(e.io_backend().window(0) > 1);
+            if deep_scans == 4 {
+                break;
+            }
+        }
+        assert_eq!(deep_scans, 4, "the backend never opened its window");
+        let traces = e.take_traces();
+        assert!(traces.iter().any(|t| t.io_max_in_flight > 1));
+        for (scan, trace) in traces.iter().enumerate() {
+            let misses: Vec<PageId> = (0..pages).filter(|&p| model.get(p).is_none()).collect();
+            for &p in &misses {
+                model.insert(p, PageFrame::from(vec![0u8; PAGE_SIZE]));
+            }
+            assert_eq!(trace.cache_miss_pages, misses.len() as u64, "scan {scan}");
+        }
+        for p in 0..pages {
+            assert_eq!(cache.get(p).is_some(), model.get(p).is_some(), "page {p}");
         }
     }
 

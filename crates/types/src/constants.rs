@@ -25,9 +25,30 @@ pub const CACHE_LINE: usize = 64;
 /// indirection index (Figure 6).
 pub const DEGREES_PER_LINE: usize = CACHE_LINE / 4;
 
-/// Default number of bins for online binning (Section V-E: "one thousand
-/// bins ... will provide good performance in general").
+/// The most bins the default binning derives from a bin space: the paper's
+/// count (Section V-E: "one thousand bins ... will provide good performance
+/// in general"), reached at 16 MiB of bin space. The paper tuned it on
+/// graphs whose bin space is about 1,000 times this repository's, where a
+/// buffer holds megabytes; below 16 MiB the count falls so that every
+/// buffer keeps [`MIN_BIN_BUFFER_BYTES`] (`BinningConfig::for_space`). An
+/// explicit count may still be anything up to [`MAX_BIN_COUNT`].
 pub const DEFAULT_BIN_COUNT: usize = 1024;
+
+/// The fewest bytes of records a derived bin count leaves in each of a bin's
+/// two buffers: two pages. A full buffer costs one hand-off to gather (a
+/// queue push and pop, the bin and gather locks, a buffer return), so
+/// smaller buffers pay it more often per record, and every bin costs every
+/// scatter thread a staging window of [`DEFAULT_STAGING_RECORDS`] records.
+pub const MIN_BIN_BUFFER_BYTES: usize = 8 << 10;
+
+/// The fewest bins a bin count derived from a bin space gets, however small
+/// the space. At 64 KiB of bin space the modeled Figure 11 sweep runs
+/// PageRank fastest at 16 to 64 bins (3.6 ms, against 4.8 ms at 256 and
+/// 15.3 ms at 1,024), and 64 is the top of that valley: the most bins,
+/// so the best gather balance, before per-bin costs show. With range
+/// routing the largest of 64 bins holds 18 % of a scale-20 R-MAT
+/// PageRank's records, which keeps up to five gather threads busy.
+pub const MIN_DERIVED_BIN_COUNT: usize = 64;
 
 /// Most bins a configuration may ask for: the top of the paper's Figure 11
 /// sweep. Every bin holds two buffers of at least one staging batch

@@ -265,8 +265,8 @@ fn levels_of_bfs_tree(csr: &Csr, parent: &[i64], root: u32, what: &str) -> Vec<i
 /// The bins an engine is opened with.
 #[derive(Debug, Clone, Copy)]
 enum Bins {
-    /// The paper's 1,024 bins, which over fewer vertices route one vertex
-    /// a slice (`dst % 1024`).
+    /// The bins the engine derives from the graph's bin space: the floor
+    /// of 64 here, slices of 8 vertices.
     Default,
     /// This many bins in 64 KiB; fewer bins own wider slices.
     Count(usize),
@@ -310,7 +310,8 @@ impl Setup {
 
     /// The cells (queue depth, mode, bins) a query meets under this
     /// layout: binned at both IO backends everywhere; on the identity
-    /// layout also sync mode, the 3- and 16-bin spaces and starved bins.
+    /// layout also sync mode, the 3-, 16- and 1,024-bin spaces and starved
+    /// bins.
     fn cells(&self) -> Vec<(usize, ExecMode, Bins)> {
         let depth = EngineOptions::default().queue_depth;
         let mut cells = vec![
@@ -319,7 +320,7 @@ impl Setup {
         ];
         if self.layout == VertexLayout::None {
             cells.push((depth, ExecMode::Sync, Bins::Default));
-            cells.extend([3, 16].map(|bins| (depth, ExecMode::Binned, Bins::Count(bins))));
+            cells.extend([3, 16, 1024].map(|bins| (depth, ExecMode::Binned, Bins::Count(bins))));
             cells.push((depth, ExecMode::Binned, Bins::Starved));
         }
         cells
@@ -377,8 +378,10 @@ impl Setup {
 /// modes once, and, in binned mode, every physical layout under both IO
 /// backends (`queue_depth` 1 is the inline `SyncBackend`, 16 the adaptive
 /// one), bins that own vertex slices wider than one (3 bins over 512
-/// vertices: slices of 128, bin 0 holding two; 16 bins: slices of 32), and
-/// bins so small that scatter keeps stalling and applying full bins itself
+/// vertices: slices of 128, bin 0 holding two; 16 bins: slices of 32; the
+/// derived 64: slices of 8), the paper's 1,024 bins, more than there are
+/// vertices, which route one vertex a slice (`dst % 1024`), and bins so
+/// small that scatter keeps stalling and applying full bins itself
 /// (`Bins::Starved`): a cell that breaks in a crate-level suite breaks here
 /// too.
 #[test]
